@@ -1,0 +1,9 @@
+"""The repository benchmark: four workloads, end-to-end and per-layer metrics.
+
+Run ``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s>
+--trace <0|1>`` from the repository root; see ``perfbench/README.md``.
+
+The benchmark drives the simulator only through its public functions and
+never edits ``src/``.  The traced pass wraps those functions at run time,
+from this package, and restores them afterwards.
+"""
