@@ -702,6 +702,10 @@ class ServingSession:
                     simulator.run_until(time)
                     break
                 simulator.run_until(checkpoint)
+                if not simulator.pending_events and simulator.now < checkpoint:
+                    # drained before the checkpoint: it lies beyond the
+                    # horizon and fires nothing (as in a chunked run)
+                    break
                 if not simulator.reconfiguring:
                     self._evaluate_triggers(checkpoint)
                 self._next_checkpoint = checkpoint + interval
@@ -726,13 +730,15 @@ class ServingSession:
                 simulator.run_until(time)
                 break
             simulator.run_until(target)
+            if not simulator.pending_events and simulator.now < target:
+                # A drained simulator never reaches a due time or checkpoint
+                # beyond its last event — it is outside the horizon and must
+                # not fire (an out-of-horizon preemption would otherwise
+                # execute at the drain instant, and a one-shot run would
+                # evaluate a checkpoint that a chunked run never reaches).
+                break
             if due is not None and target >= due:
-                # A drained simulator never reaches a due time beyond its
-                # last event — that control action is outside the horizon
-                # and must not fire (an out-of-horizon preemption would
-                # otherwise execute at the drain instant).
-                if simulator.pending_events or simulator.now >= due:
-                    self._apply_due_control(target)
+                self._apply_due_control(target)
             if checkpoint is not None and target >= checkpoint:
                 if not simulator.reconfiguring:
                     self._evaluate_triggers(checkpoint)
