@@ -36,8 +36,9 @@ single-run session::
 from __future__ import annotations
 
 import dataclasses
+import heapq
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.triggers import (
     RepartitionTrigger,
@@ -235,6 +236,12 @@ class SessionResult:
 SessionWorkload = Union[Scenario, QueryTrace, WorkloadConfig]
 
 
+def _pop_due(lane: List[Tuple[Any, ...]], now: float) -> Iterator[Tuple[Any, ...]]:
+    """Pop, in order, every entry of a control-timeline lane due by ``now``."""
+    while lane and lane[0][0] <= now:
+        yield heapq.heappop(lane)
+
+
 class ServingSession:
     """An event-driven serving run over one server design point.
 
@@ -363,35 +370,15 @@ class ServingSession:
         self._profiles: Dict[str, ProfileTable] = dict(profiles or {})
         self._deployment: Optional[Deployment] = None
         self._planned_pdf: Optional[Dict[int, float]] = None
-        self._sim: Optional[InferenceServerSimulator] = None
-        self._windowed: Optional[WindowedMetrics] = None
         self._last_result: Optional[SessionResult] = None
-        self._last_reconfig_online = 0.0
-        self._firings: List[TriggerFiring] = []
-        self._next_checkpoint: Optional[float] = None
-        self._offered_load: Optional[float] = None
-        # fleet control plane (PR 7)
         self.autoscaler = autoscaler
         self.preemptions = preemptions
         self._roster: Optional[FleetRoster] = None
-        self._fleet_events: List[Any] = []
-        self._fleet_log: List[Tuple[float, Tuple[FleetServerSpec, ...]]] = []
-        self._pending_removals: List[Tuple[float, Any]] = []
-        self._preempt_i = 0
-        self._sim_archs: Optional[set] = None
-        # fault injection (PR 9)
         self.faults: Optional[FaultSchedule] = faults
         self.retry_policy: RetryPolicy = (
             retry_policy if retry_policy is not None else RetryPolicy()
         )
-        self._fault_i = 0
-        self._fault_records: List[FaultRecord] = []
-        #: instance id -> (crash time, gpcs) of currently-down workers
-        self._open_crashes: Dict[int, Tuple[float, int]] = {}
-        self._crash_intervals: List[Tuple[float, float, int]] = []
-        self._armed_reconfig_failures: List[FailedReconfigure] = []
-        #: (time, total gpcs) capacity steps for availability integration
-        self._capacity_log: List[Tuple[float, int]] = []
+        self._reset_run_state()
 
     @classmethod
     def from_deployment(cls, deployment: Deployment, **kwargs: Any) -> "ServingSession":
@@ -479,30 +466,41 @@ class ServingSession:
         if self._deployment is None:
             return self.deploy(batch_pdf=new_pdf)
         replanned = replan_deployment(self._deployment, new_pdf)
-        if self.running:
-            assert self._sim is not None
-            if self._armed_reconfig_failures:
-                # an armed FailedReconfigure fault consumes this attempt:
-                # downtime is paid, but the old plan stays in force
-                return self._fail_reconfigure(self._armed_reconfig_failures.pop(0))
-            self._close_open_crashes(self._sim.now)
-            self._last_reconfig_online = self._sim.reconfigure(
-                replanned.instances, self.reconfig_cost
-            )
-            # adopt the simulator's renumbered generation so the deployment's
-            # instance ids line up with completion events / per-instance stats
-            replanned = dataclasses.replace(
-                replanned, instances=self._sim.pending_instances
-            )
-            if self._has_faults:
-                self._capacity_log.append(
-                    (
-                        self._last_reconfig_online,
-                        sum(i.gpcs for i in replanned.instances),
-                    )
-                )
-        self._deployment = replanned
+        if self.running and self._armed_reconfig_failures:
+            # an armed FailedReconfigure fault consumes this attempt:
+            # downtime is paid, but the old plan stays in force
+            return self._fail_reconfigure(self._armed_reconfig_failures.pop(0))
+        self._install(replanned, self.reconfig_cost)
         self._planned_pdf = dict(new_pdf)
+        return self._deployment
+
+    def _install(self, deployment: Deployment, downtime: float) -> Deployment:
+        """Make ``deployment`` current — the session's one live-swap path.
+
+        Between runs this is plain assignment.  Mid-run it closes every open
+        crash outage (the swap heals all workers), stages the simulator's
+        reconfiguration with ``downtime``, adopts the renumbered generation
+        the simulator brings online (so the deployment's instance ids line
+        up with completion events and per-instance statistics) and logs the
+        new capacity for fault availability.
+        """
+        if not self.running:
+            self._deployment = deployment
+            return deployment
+        sim = self._sim
+        assert sim is not None
+        self._close_open_crashes(sim.now)
+        self._last_reconfig_online = sim.reconfigure(deployment.instances, downtime)
+        self._deployment = dataclasses.replace(
+            deployment, instances=sim.pending_instances
+        )
+        if self._capacity_log:
+            self._capacity_log.append(
+                (
+                    self._last_reconfig_online,
+                    sum(i.gpcs for i in self._deployment.instances),
+                )
+            )
         return self._deployment
 
     # ------------------------------------------------------------------ #
@@ -575,49 +573,75 @@ class ServingSession:
         simulator = deployment.simulator(
             execution_noise_std=self._noise, seed=seed if seed is not None else 0
         )
-        self._windowed = WindowedMetrics(self.window) if self.window else None
-        if self._windowed is not None:
-            simulator.add_observer(self._windowed)
-        for observer in self._observers:
-            simulator.add_observer(observer)
+        self._reset_run_state(simulator)
+        self._offered_load = replay.arrival_rate()
+        simulator.begin()
+        simulator.submit_trace(replay)
+
+    def _reset_run_state(
+        self, simulator: Optional[InferenceServerSimulator] = None
+    ) -> None:
+        """Initialise every per-run field — the one place they are set.
+
+        ``__init__`` calls this without a run; :meth:`begin` passes the new
+        run's simulator, which gets the metrics window and the observers
+        attached and serves the current deployment.
+        """
+        deployment = self._deployment if simulator is not None else None
         self._sim = simulator
-        self._firings = []
+        self._windowed: Optional[WindowedMetrics] = (
+            WindowedMetrics(self.window)
+            if simulator is not None and self.window
+            else None
+        )
+        if simulator is not None:
+            for observer in (self._windowed, *self._observers):
+                if observer is not None:
+                    simulator.add_observer(observer)
+        self._offered_load: Optional[float] = None
+        self._firings: List[TriggerFiring] = []
         self._last_reconfig_online = 0.0
-        self._next_checkpoint = (
+        # The control timeline: the trigger/autoscaler checkpoint grid, plus
+        # one due-time lane (a heap) per scheduled control source, drained
+        # in lane order at each due instant — faults, preemption notices,
+        # then the removals those notices queue.  Autoscaler commissions are
+        # due from the autoscaler itself.  An empty schedule leaves its lane
+        # empty, so a falsy schedule runs exactly like no schedule.
+        self._next_checkpoint: Optional[float] = (
             self.trigger_interval
             if (self.triggers or self.autoscaler is not None)
             else None
         )
-        self._offered_load = replay.arrival_rate()
-
-        # fleet control plane state (per run)
-        self._fleet_events = []
-        self._fleet_log = []
-        self._pending_removals = []
-        self._preempt_i = 0
-        # fault injection state (per run)
-        self._fault_i = 0
-        self._fault_records = []
-        self._open_crashes = {}
-        self._crash_intervals = []
-        self._armed_reconfig_failures = []
-        if self._has_faults:
-            self._capacity_log = [
-                (0.0, sum(i.gpcs for i in deployment.instances))
-            ]
-        else:
-            self._capacity_log = []
-        if self.config.is_fleet:
-            # The simulator's per-architecture latency oracles are fixed at
-            # construction: only these architectures are servable mid-run.
-            self._sim_archs = (
-                set(deployment.arch_profiles)
-                if deployment.arch_profiles
-                else {self.config.architecture.name}
-            )
-        else:
-            self._sim_archs = None
-        if self._has_control:
+        faults = self.faults.events if self.faults else ()
+        notices = self.preemptions.events if self.preemptions else ()
+        self._lanes: Tuple[List[Tuple[Any, ...]], ...] = (
+            [(event.time, i, event) for i, event in enumerate(faults)],
+            [(event.time, i, event) for i, event in enumerate(notices)],
+            [],
+        )
+        for lane in self._lanes:
+            heapq.heapify(lane)
+        self._fleet_events: List[Any] = []
+        self._fleet_log: List[Tuple[float, Tuple[FleetServerSpec, ...]]] = []
+        self._fault_records: List[FaultRecord] = []
+        #: instance id -> (crash time, gpcs) of currently-down workers
+        self._open_crashes: Dict[int, Tuple[float, int]] = {}
+        self._crash_intervals: List[Tuple[float, float, int]] = []
+        self._armed_reconfig_failures: List[FailedReconfigure] = []
+        #: (time, total gpcs) capacity steps for availability integration
+        self._capacity_log: List[Tuple[float, int]] = (
+            [(0.0, sum(i.gpcs for i in deployment.instances))]
+            if deployment is not None and self.faults
+            else []
+        )
+        # The simulator's per-architecture latency oracles are fixed at
+        # construction: only these architectures are servable mid-run.
+        self._sim_archs: Optional[set] = (
+            (set(deployment.arch_profiles or ()) or {self.config.architecture.name})
+            if deployment is not None and self.config.is_fleet
+            else None
+        )
+        if deployment is not None and self._has_control:
             self._roster = FleetRoster(self.config.fleet)
             self._fleet_log = [(0.0, self._roster.specs)]
             if self.autoscaler is not None:
@@ -631,9 +655,6 @@ class ServingSession:
                         "are limited to architectures present in the fleet "
                         f"at begin() ({sorted(self._sim_archs or ())})"
                     )
-
-        simulator.begin()
-        simulator.submit_trace(replay)
 
     def submit(self, workload: Union[QueryTrace, Query]) -> None:
         """Inject extra work into the *open* run.
@@ -673,9 +694,14 @@ class ServingSession:
     def run_until(self, time: Optional[float] = None) -> float:
         """Advance the open run up to simulation ``time`` (``None`` drains).
 
-        Triggers are evaluated at every :attr:`trigger_interval` checkpoint
-        crossed, never between checkpoints, so chopping a run into many
-        ``run_until`` calls reproduces :meth:`run` exactly.
+        One loop drives every run.  It advances to the earlier of the next
+        :attr:`trigger_interval` checkpoint and the next control due time
+        (fault, preemption notice, pending removal, autoscaler commission),
+        applies the due control first and then evaluates the triggers and
+        the autoscaler at the checkpoint.  Nothing fires between those
+        instants, and nothing beyond a drained simulator's last event, so
+        chopping a run into many ``run_until`` calls reproduces :meth:`run`
+        exactly.
 
         Returns:
             The simulation time after processing.
@@ -689,62 +715,30 @@ class ServingSession:
             )
         simulator = self._sim
         assert simulator is not None
-        if not self.triggers and not self._has_control and not self._has_faults:
-            return simulator.run_until(time)
-        interval = self.trigger_interval
-        if not self._has_control and not self._has_faults:
-            assert interval is not None
-            assert self._next_checkpoint is not None
-            while simulator.pending_events:
-                checkpoint = self._next_checkpoint
-                if time is not None and checkpoint > time:
-                    # advance the remainder without crossing the next checkpoint
-                    simulator.run_until(time)
-                    break
-                simulator.run_until(checkpoint)
-                if not simulator.pending_events and simulator.now < checkpoint:
-                    # drained before the checkpoint: it lies beyond the
-                    # horizon and fires nothing (as in a chunked run)
-                    break
-                if not simulator.reconfiguring:
-                    self._evaluate_triggers(checkpoint)
-                self._next_checkpoint = checkpoint + interval
-            return simulator.now
-        # Fleet control plane: interleave the trigger checkpoint grid with
-        # the control plane's own due times (commission arrivals, preemption
-        # notices, pending removals).  Due mutations are deferred to the end
-        # of an in-flight reconfiguration — the simulator supports one
-        # staged reconfiguration at a time — by flooring them at its online
-        # time, which guarantees forward progress.
         while simulator.pending_events:
             checkpoint = self._next_checkpoint
             due = self._next_control_due()
             if due is not None and simulator.reconfiguring:
+                # the simulator stages one reconfiguration at a time: due
+                # control waits for the swap's online instant
                 due = max(due, self._last_reconfig_online)
-            candidates = [t for t in (checkpoint, due) if t is not None]
-            if not candidates:
-                simulator.run_until(time)
-                break
-            target = min(candidates)
-            if time is not None and target > time:
+            target = min((t for t in (checkpoint, due) if t is not None), default=None)
+            if target is None or (time is not None and target > time):
                 simulator.run_until(time)
                 break
             simulator.run_until(target)
             if not simulator.pending_events and simulator.now < target:
-                # A drained simulator never reaches a due time or checkpoint
-                # beyond its last event — it is outside the horizon and must
-                # not fire (an out-of-horizon preemption would otherwise
-                # execute at the drain instant, and a one-shot run would
-                # evaluate a checkpoint that a chunked run never reaches).
+                # horizon rule: a drained simulator never reaches a due time
+                # or checkpoint beyond its last event, so it fires nothing
                 break
-            if due is not None and target >= due:
+            if target == due:
                 self._apply_due_control(target)
-            if checkpoint is not None and target >= checkpoint:
+            if target == checkpoint:
                 if not simulator.reconfiguring:
                     self._evaluate_triggers(checkpoint)
                 if self.autoscaler is not None and not simulator.reconfiguring:
-                    self._evaluate_autoscaler(checkpoint)
-                self._next_checkpoint = checkpoint + interval
+                    self.autoscaler.evaluate(self, self._trigger_context(checkpoint))
+                self._next_checkpoint = checkpoint + self.trigger_interval
         return simulator.now
 
     def finish(self) -> SessionResult:
@@ -822,7 +816,7 @@ class ServingSession:
             fleet_cost = timeline_cost(fleet_windows)
         fault_windows: Tuple[Any, ...] = ()
         fault_mttr = 0.0
-        if self._has_faults and self._windowed is not None and self._capacity_log:
+        if self._windowed is not None and self._capacity_log:
             from repro.faults.metrics import (
                 integrate_fault_timeline,
                 mean_time_to_repair,
@@ -873,16 +867,19 @@ class ServingSession:
                 query.sla_target = deployment.sla_target_for(query.model)
         return replay
 
-    def _evaluate_triggers(self, now: float) -> None:
+    def _trigger_context(self, now: float) -> TriggerContext:
+        """What the triggers and the autoscaler see at checkpoint ``now``."""
         assert self._windowed is not None
-        assert self._planned_pdf is not None
-        context = TriggerContext(
+        return TriggerContext(
             now=now,
-            planned_pdf=self._planned_pdf,
+            planned_pdf=self._planned_pdf or {},
             metrics=self._windowed,
             time_since_reconfig=now - self._last_reconfig_online,
             deployment=self._deployment,
         )
+
+    def _evaluate_triggers(self, now: float) -> None:
+        context = self._trigger_context(now)
         for trigger in self.triggers:
             decision = trigger.evaluate(context)
             if not decision.fire:
@@ -959,20 +956,13 @@ class ServingSession:
             )
         self._ensure_fleet_tracking()
         server_id = self.roster.add(spec)
-        now = self.now
-        self._emit_control_event(
-            ServerScaledOut(
-                time=now, server_index=server_id, spec=spec.describe(), reason=reason
-            )
-        )
-        self._record_fleet_event(
-            "scale-out", now, server_index=server_id, spec=spec.describe(),
-            reason=reason,
-        )
+        self._fleet_mutation("scale-out", self.now, server_id, spec, reason)
         self._refleet()
         return server_id
 
-    def scale_in(self, server_id: Optional[int] = None, reason: str = "manual"):
+    def scale_in(
+        self, server_id: Optional[int] = None, reason: str = "manual"
+    ) -> FleetServerSpec:
         """Drain a whole server out of the fleet and re-plan onto the rest.
 
         Args:
@@ -988,24 +978,16 @@ class ServingSession:
             ValueError: when removal would empty the fleet.
         """
         self._ensure_fleet_tracking()
-        roster = self.roster
         if server_id is None:
-            server_id = roster.newest_id()
-        spec = roster.remove(server_id)
-        now = self.now
-        self._emit_control_event(
-            ServerScaledIn(
-                time=now, server_index=server_id, spec=spec.describe(), reason=reason
-            )
-        )
-        self._record_fleet_event(
-            "scale-in", now, server_index=server_id, spec=spec.describe(),
-            reason=reason,
-        )
+            server_id = self.roster.newest_id()
+        spec = self.roster.remove(server_id)
+        self._fleet_mutation("scale-in", self.now, server_id, spec, reason)
         self._refleet()
         return spec
 
-    def preempt(self, server_id: int, notice: float = 0.0, reason: str = "spot reclaim"):
+    def preempt(
+        self, server_id: int, notice: float = 0.0, reason: str = "spot reclaim"
+    ) -> FleetServerSpec:
         """Forcibly remove a server *now* (the spot-reclaim primitive).
 
         Scheduled preemptions normally come from a
@@ -1017,16 +999,7 @@ class ServingSession:
         """
         self._ensure_fleet_tracking()
         spec = self.roster.remove(server_id)
-        now = self.now
-        self._emit_control_event(
-            ServerPreempted(
-                time=now, server_index=server_id, spec=spec.describe(), notice=notice
-            )
-        )
-        self._record_fleet_event(
-            "preempted", now, server_index=server_id, spec=spec.describe(),
-            reason=reason,
-        )
+        self._fleet_mutation("preempted", self.now, server_id, spec, reason, notice)
         self._refleet()
         return spec
 
@@ -1043,97 +1016,70 @@ class ServingSession:
             self._fleet_log = [(0.0, roster.specs)]
 
     def _next_control_due(self) -> Optional[float]:
-        """Earliest pending control-plane time (commission/notice/removal)."""
-        due: Optional[float] = None
+        """Earliest pending control due time across the timeline's lanes
+        and the autoscaler's commissions."""
+        dues = [lane[0][0] for lane in self._lanes if lane]
         if self.autoscaler is not None:
-            due = self.autoscaler.next_due()
-        if self.preemptions is not None:
-            events = self.preemptions.events
-            if self._preempt_i < len(events):
-                notice_at = events[self._preempt_i].time
-                due = notice_at if due is None else min(due, notice_at)
-        if self._pending_removals:
-            removal = min(at for at, _ in self._pending_removals)
-            due = removal if due is None else min(due, removal)
-        if self.faults is not None:
-            events = self.faults.events
-            if self._fault_i < len(events):
-                fault_at = events[self._fault_i].time
-                due = fault_at if due is None else min(due, fault_at)
-        return due
+            commission = self.autoscaler.next_due()
+            if commission is not None:
+                dues.append(commission)
+        return min(dues, default=None)
 
     def _apply_due_control(self, now: float) -> None:
-        """Apply every control-plane item due by ``now`` (deterministic order).
+        """Apply every control item due by ``now``, in a fixed order.
 
-        Fault-schedule events fire first (worker-level mutations may stage a
-        live repartition of their own); then preemption notices
-        (bookkeeping only), then due removals, then due commissions; all
-        roster mutations land as **one** live repartition, so a
-        simultaneous loss and arrival pays one downtime.
+        Faults fire first, in schedule order (worker-level mutations; never
+        mid-reconfiguration, while the simulator's worker set is in flux —
+        they wait, and ``run_until`` floors the next due time at the swap's
+        online instant); then preemption notices (bookkeeping: each queues
+        its removal), then due removals, then due commissions.  All roster
+        mutations land as **one** live repartition, so a simultaneous loss
+        and arrival pays one downtime.
         """
-        if self._has_faults:
-            self._apply_due_faults(now)
-        if not self._has_control:
-            return
-        roster = self.roster
-        if self.preemptions is not None:
-            events = self.preemptions.events
-            while self._preempt_i < len(events) and events[self._preempt_i].time <= now:
-                event = events[self._preempt_i]
-                self._preempt_i += 1
-                spec = (
+        simulator = self._sim
+        assert simulator is not None
+        faults, notices, removals = self._lanes
+        if not simulator.reconfiguring:
+            for _, _, fault in _pop_due(faults, now):
+                self._apply_fault(fault, now)
+        for _, i, event in _pop_due(notices, now):
+            roster = self.roster
+            self._record_fleet_event(
+                "preempt-notice",
+                event.time,
+                server_index=event.server_index,
+                spec=(
                     roster.spec_of(event.server_index).describe()
                     if event.server_index in roster
                     else ""
-                )
-                self._record_fleet_event(
-                    "preempt-notice",
-                    event.time,
-                    server_index=event.server_index,
-                    spec=spec,
-                    reason=f"{event.notice:g}s notice",
-                )
-                self._pending_removals.append((event.removal_time, event))
+                ),
+                reason=f"{event.notice:g}s notice",
+            )
+            heapq.heappush(
+                removals, (event.removal_time, event.server_index, i, event)
+            )
         mutated = False
-        due_removals = sorted(
-            (r for r in self._pending_removals if r[0] <= now),
-            key=lambda r: (r[0], r[1].server_index),
-        )
-        if due_removals:
-            self._pending_removals = [
-                r for r in self._pending_removals if r[0] > now
-            ]
-        for _, event in due_removals:
-            if event.server_index not in roster:
+        for *_, event in _pop_due(removals, now):
+            roster = self.roster
+            if event.server_index not in roster or len(roster) == 1:
                 self._record_fleet_event(
                     "preempt-skipped", now, server_index=event.server_index,
-                    reason="server already removed",
-                )
-                continue
-            if len(roster) == 1:
-                self._record_fleet_event(
-                    "preempt-skipped", now, server_index=event.server_index,
-                    reason="would empty the fleet",
+                    reason=(
+                        "would empty the fleet"
+                        if event.server_index in roster
+                        else "server already removed"
+                    ),
                 )
                 continue
             spec = roster.remove(event.server_index)
-            self._emit_control_event(
-                ServerPreempted(
-                    time=now,
-                    server_index=event.server_index,
-                    spec=spec.describe(),
-                    notice=event.notice,
-                )
-            )
-            self._record_fleet_event(
-                "preempted", now, server_index=event.server_index,
-                spec=spec.describe(),
-                reason=f"spot reclaim ({event.notice:g}s notice)",
+            self._fleet_mutation(
+                "preempted", now, event.server_index, spec,
+                f"spot reclaim ({event.notice:g}s notice)", event.notice,
             )
             mutated = True
         if self.autoscaler is not None:
             for spec, reason in self.autoscaler.take_due(now):
-                server_id = roster.add(spec)
+                server_id = self.roster.add(spec)
                 decisions = self.autoscaler.decisions
                 for i, decision in enumerate(decisions):
                     if decision.action == "scale-out" and decision.server_index is None:
@@ -1143,32 +1089,10 @@ class ServingSession:
                             decision, server_index=server_id
                         )
                         break
-                self._emit_control_event(
-                    ServerScaledOut(
-                        time=now,
-                        server_index=server_id,
-                        spec=spec.describe(),
-                        reason=reason,
-                    )
-                )
-                self._record_fleet_event(
-                    "scale-out", now, server_index=server_id,
-                    spec=spec.describe(), reason=reason,
-                )
+                self._fleet_mutation("scale-out", now, server_id, spec, reason)
                 mutated = True
         if mutated:
             self._refleet()
-
-    def _evaluate_autoscaler(self, now: float) -> None:
-        assert self._windowed is not None
-        context = TriggerContext(
-            now=now,
-            planned_pdf=self._planned_pdf or {},
-            metrics=self._windowed,
-            time_since_reconfig=now - self._last_reconfig_online,
-            deployment=self._deployment,
-        )
-        self.autoscaler.evaluate(self, context)
 
     def _refleet(self) -> None:
         """Re-plan the deployment onto the roster's current composition."""
@@ -1181,30 +1105,47 @@ class ServingSession:
             return
         pdf = self._planned_pdf
         assert pdf is not None
-        replanned = refleet_deployment(deployment, new_config, pdf)
+        self._install(
+            refleet_deployment(deployment, new_config, pdf), self.reconfig_cost
+        )
         if self.running:
-            assert self._sim is not None
-            self._close_open_crashes(self._sim.now)
-            self._last_reconfig_online = self._sim.reconfigure(
-                replanned.instances, self.reconfig_cost
-            )
-            replanned = dataclasses.replace(
-                replanned, instances=self._sim.pending_instances
-            )
             # Billing follows the *serving* composition: the mutation's
             # downtime bills at the old composition (you pay for the pool
             # while it drains), and the new pool starts billing when it
             # comes online.
             self._fleet_log.append((self._last_reconfig_online, roster.specs))
-            if self._has_faults:
-                self._capacity_log.append(
-                    (
-                        self._last_reconfig_online,
-                        sum(i.gpcs for i in replanned.instances),
-                    )
-                )
         self.config = new_config
-        self._deployment = replanned
+
+    def _fleet_mutation(
+        self,
+        kind: str,
+        time: float,
+        server_id: int,
+        spec: FleetServerSpec,
+        reason: str,
+        notice: float = 0.0,
+    ) -> None:
+        """Publish one roster mutation — ``"scale-out"``, ``"scale-in"`` or
+        ``"preempted"`` — as a hook event to the extra observers, then record
+        it as a fleet event."""
+        described = spec.describe()
+        event: Union[ServerScaledOut, ServerScaledIn, ServerPreempted]
+        if kind == "preempted":
+            event = ServerPreempted(
+                time=time, server_index=server_id, spec=described, notice=notice
+            )
+        else:
+            hook = ServerScaledOut if kind == "scale-out" else ServerScaledIn
+            event = hook(
+                time=time, server_index=server_id, spec=described, reason=reason
+            )
+        for observer in self._observers:
+            on_event = getattr(observer, "on_event", None)
+            if on_event is not None:
+                on_event(event)
+        self._record_fleet_event(
+            kind, time, server_index=server_id, spec=described, reason=reason
+        )
 
     def _record_fleet_event(
         self,
@@ -1230,49 +1171,12 @@ class ServingSession:
             )
         )
 
-    def _emit_control_event(self, event: Any) -> None:
-        """Deliver a control-plane hook event to the extra observers."""
-        for observer in self._observers:
-            on_event = getattr(observer, "on_event", None)
-            if on_event is not None:
-                on_event(event)
-
     # ------------------------------------------------------------------ #
     # fault injection (crashes, stragglers, failed reconfigurations)
     # ------------------------------------------------------------------ #
-    @property
-    def _has_faults(self) -> bool:
-        """True when a non-empty fault schedule is configured.
-
-        An *empty* schedule is deliberately falsy: the session then takes
-        exactly the same code paths as one constructed without ``faults=``,
-        which is what pins ``faults=FaultSchedule([])`` bit-identical to the
-        plain session.
-        """
-        return self.faults is not None and bool(self.faults)
-
     def fault_events(self) -> Tuple[FaultRecord, ...]:
         """Fault-injection records of the open run so far, in order."""
         return tuple(self._fault_records)
-
-    def _apply_due_faults(self, now: float) -> None:
-        """Fire every scheduled fault due by ``now``, in schedule order.
-
-        Faults never land mid-reconfiguration (the simulator's worker set
-        is in flux): they defer, and ``run_until`` floors the next due time
-        at the reconfiguration's online instant, so the deferred event
-        re-enters here right after the swap lands.
-        """
-        sim = self._sim
-        assert sim is not None
-        assert self.faults is not None
-        events = self.faults.events
-        while self._fault_i < len(events) and events[self._fault_i].time <= now:
-            if sim.reconfiguring:
-                return
-            event = events[self._fault_i]
-            self._fault_i += 1
-            self._apply_fault(event, now)
 
     def _apply_fault(self, event: FaultEvent, now: float) -> None:
         sim = self._sim
@@ -1365,16 +1269,10 @@ class ServingSession:
         deployment = self._deployment
         assert deployment is not None
         now = sim.now
-        self._close_open_crashes(now)
         old_ids = tuple(i.instance_id for i in deployment.instances)
         downtime = self.reconfig_cost + fail.downtime
-        self._last_reconfig_online = sim.reconfigure(
-            deployment.instances, downtime
-        )
-        # adopt the renumbered generation of the *old* shapes
-        self._deployment = dataclasses.replace(
-            deployment, instances=sim.pending_instances
-        )
+        # the *old* shapes come back online, in a renumbered generation
+        rolled_back = self._install(deployment, downtime)
         sim.emit_event(
             ReconfigFailed(time=now, instance_ids=old_ids, downtime=downtime)
         )
@@ -1383,14 +1281,7 @@ class ServingSession:
             now,
             reason=f"rolled back to old plan after {downtime:g}s",
         )
-        if self._has_faults:
-            self._capacity_log.append(
-                (
-                    self._last_reconfig_online,
-                    sum(i.gpcs for i in self._deployment.instances),
-                )
-            )
-        return self._deployment
+        return rolled_back
 
     def _close_open_crashes(self, at: float) -> None:
         """Close every open crash outage at time ``at``.
