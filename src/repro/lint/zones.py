@@ -49,7 +49,7 @@ ZONES: Dict[str, Tuple[str, ...]] = {
     "asyncio": ("daemon/",),
     "pool": ("analysis/sweep.py", "analysis/experiments.py", "autoscale/planner.py"),
     "hooks": ("sim/hooks.py",),
-    "typed": ("core/", "sim/", "gpu/", "autoscale/", "faults/"),
+    "typed": ("core/", "sim/", "gpu/", "autoscale/", "faults/", "serving/session.py"),
 }
 
 #: Every declared zone name (checkers validate their declarations against it).
