@@ -24,13 +24,226 @@ would want when no SLA is defined.
 
 from __future__ import annotations
 
-from typing import List, Mapping, Optional
+from heapq import heappop, heappush
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.slack import SlackEstimator
+from repro.core.slack import SlackEstimator, SlackPrediction
 from repro.perf.lookup import ProfileTable
 from repro.sim.scheduler_api import Scheduler, SchedulingContext
-from repro.sim.worker import PartitionWorker
+from repro.sim.worker import LatencyFn, PartitionWorker
 from repro.workload.query import Query
+
+#: Groups of at most this many workers are scored by reading every member;
+#: larger groups keep the lazy wait heaps of :class:`_Group`.
+DIRECT_READ_MAX = 8
+
+
+class _Group:
+    """The workers of one ``(architecture, size)`` group.
+
+    Execution time is constant within a group, so a group contributes at
+    most one Step-A candidate (its least-loaded member) and one Step-B
+    candidate (its fastest completion).  A direct-read group (``busy is
+    None``) offers every member for scoring.  A larger group keeps two lazy
+    heaps and offers only the members that can still win:
+
+    * the **busy heap** holds ``(queued_work + current_finish_time, stamp,
+      queued_work, worker)``.  The key does not move until the worker
+      itself changes, and ``key - now`` is a lower bound of the worker's
+      exact wait ``queued_work + max(finish - now, 0)``;
+    * the **idle heap** holds ``(instance_id, stamp, worker)`` for members
+      with nothing queued or running, whose wait is exactly 0, so its root
+      is the group's best idle member.
+
+    A change notification only marks the worker dirty; the group re-keys
+    its dirty members the next time it is scored.  Every re-key takes a
+    fresh stamp, and an entry whose stamp is no longer its worker's current
+    one is stale: it is skipped, and popped once it reaches a root.
+    """
+
+    __slots__ = (
+        "arch", "gpcs", "oracle", "members", "busy", "idle", "stamps", "dirty",
+        "_stamp",
+    )
+
+    def __init__(
+        self,
+        arch: str,
+        gpcs: int,
+        oracle: LatencyFn,
+        members: List[PartitionWorker],
+        heaped: bool,
+    ) -> None:
+        self.arch = arch
+        self.gpcs = gpcs
+        self.oracle = oracle
+        self.members = members
+        self.busy: Optional[List[Tuple[float, int, float, PartitionWorker]]] = None
+        self.idle: List[Tuple[int, int, PartitionWorker]] = []
+        self.stamps: Dict[int, int] = {}
+        self.dirty: Dict[int, PartitionWorker] = {}
+        self._stamp = 0
+        if heaped:
+            self.busy = []
+            self.dirty = {worker.instance_id: worker for worker in members}
+
+    def _rekey(self, now: float) -> None:
+        """Push a fresh entry for every dirty member."""
+        busy = self.busy
+        assert busy is not None
+        idle, stamps, oracle = self.idle, self.stamps, self.oracle
+        stamp = self._stamp
+        for instance_id, worker in self.dirty.items():
+            stamp += 1
+            stamps[instance_id] = stamp
+            finish = worker.current_finish_time
+            if finish is None and not worker.queue:
+                heappush(idle, (instance_id, stamp, worker))
+                continue
+            queued = worker.queued_work(oracle)
+            # Queued work with nothing running waits `queued` from now on,
+            # so keying it as if it started now keeps the bound.
+            start = now if finish is None else finish
+            heappush(busy, (queued + start, stamp, queued, worker))
+        self._stamp = stamp
+        self.dirty.clear()
+        if len(busy) + len(idle) > 2 * len(self.members) + DIRECT_READ_MAX:
+            # Too many stale entries: start over from the members.
+            busy.clear()
+            idle.clear()
+            self.dirty = {worker.instance_id: worker for worker in self.members}
+            self._rekey(now)
+
+    def candidates(self, now: float, execution: float) -> List[PartitionWorker]:
+        """Every member that can still win Step A or Step B at ``now``.
+
+        The best idle member comes first; then the busy heap is walked from
+        its root, skipping every subtree whose root key satisfies
+        ``key - now > best + 1e-9 * (1 + |key| + execution)``.  ``best`` is
+        the exact wait of the first candidate (0 for an idle one, else the
+        busy root's ``queued + max(finish - now, 0)``), so the group's best
+        wait is at most ``best``, while every worker in a skipped subtree
+        waits at least ``key - now``: more than ``best`` by far more than
+        the rounding of ``wait + execution``.  Such a worker can win neither
+        Step A (smallest wait) nor Step B (smallest ``wait + execution``).
+        """
+        if self.dirty:
+            self._rekey(now)
+        busy = self.busy
+        assert busy is not None
+        idle, stamps = self.idle, self.stamps
+        found: List[PartitionWorker] = []
+        while idle:
+            instance_id, stamp, worker = idle[0]
+            if stamps[instance_id] == stamp:
+                found.append(worker)
+                break
+            heappop(idle)
+        while busy and stamps[busy[0][3].instance_id] != busy[0][1]:
+            heappop(busy)
+        size = len(busy)
+        if not size:
+            return found
+        best = 0.0
+        if not found:
+            _, _, best, worker = busy[0]
+            finish = worker.current_finish_time
+            if finish is not None and finish > now:
+                best += finish - now
+        stack = [0]
+        while stack:
+            position = stack.pop()
+            key, stamp, _, worker = busy[position]
+            if key - now > best + 1e-9 * (1.0 + abs(key) + execution):
+                continue
+            if stamps[worker.instance_id] == stamp:
+                found.append(worker)
+            child = 2 * position + 1
+            if child < size:
+                stack.append(child)
+                if child + 1 < size:
+                    stack.append(child + 1)
+        return found
+
+
+class _GroupIndex:
+    """A worker set grouped by ``(architecture, size)``, in Step-A order.
+
+    ELSA builds one per roster change on the fast path (heaps on, kept
+    current through :meth:`worker_changed`) and a throwaway direct-read one
+    per decision otherwise.  Groups are ordered once: by size on a
+    single-architecture estimator (ascending, or descending for the
+    largest-first ablation).  A mixed-architecture estimator orders them per
+    ``(model, batch)`` instead, least capable first, and :meth:`plan`
+    memoizes that order with each group's execution time.
+    """
+
+    __slots__ = ("groups", "_by_id", "_plans", "_hetero", "_reverse")
+
+    def __init__(
+        self,
+        scheduler: ElsaScheduler,
+        workers: Sequence[PartitionWorker],
+        heaped: bool = False,
+    ) -> None:
+        estimator = scheduler.estimator
+        hetero = scheduler._hetero
+        by_key: Dict[Tuple[str, int], List[PartitionWorker]] = {}
+        for worker in workers:
+            key = (worker.arch_name if hetero else "", worker.gpcs)
+            members = by_key.get(key)
+            if members is None:
+                by_key[key] = [worker]
+            else:
+                members.append(worker)
+        self.groups = [
+            _Group(
+                arch,
+                gpcs,
+                estimator.oracle_for(members[0]),
+                members,
+                heaped and len(members) > DIRECT_READ_MAX,
+            )
+            for (arch, gpcs), members in by_key.items()
+        ]
+        self._reverse = not scheduler.prefer_smallest
+        self._hetero = hetero
+        if not hetero:
+            self.groups.sort(key=lambda group: group.gpcs, reverse=self._reverse)
+        #: instance id -> its heaped group (direct-read groups need no news).
+        self._by_id = {
+            worker.instance_id: group
+            for group in self.groups
+            if group.busy is not None
+            for worker in group.members
+        }
+        self._plans: Dict[Tuple[str, int], List[Tuple[float, _Group]]] = {}
+
+    def worker_changed(self, worker: PartitionWorker) -> None:
+        """Mark ``worker`` for re-keying before its group is next scored."""
+        group = self._by_id.get(worker.instance_id)
+        if group is not None:
+            group.dirty[worker.instance_id] = worker
+
+    def plan(self, model: str, batch: int) -> List[Tuple[float, _Group]]:
+        """``(T_estimated, group)`` for every group, in Step-A order."""
+        key = (model, batch)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = [
+                (group.oracle(model, batch, group.gpcs), group)
+                for group in self.groups
+            ]
+            if self._hetero:
+                # Least-capable-first: slowest execution first (reversed for
+                # the largest-first ablation); ties by size, then
+                # architecture name.
+                plan.sort(
+                    key=lambda entry: (-entry[0], entry[1].gpcs, entry[1].arch),
+                    reverse=self._reverse,
+                )
+            self._plans[key] = plan
+        return plan
 
 
 class ElsaScheduler(Scheduler):
@@ -75,8 +288,14 @@ class ElsaScheduler(Scheduler):
             arch_profiles=arch_profiles,
         )
         self.prefer_smallest = prefer_smallest
-        #: Plain bool read once per arrival (cheaper than the property).
+        #: Plain bool read once per index build (cheaper than the property).
         self._hetero = self.estimator.heterogeneous
+
+    def on_roster_change(
+        self, workers: Sequence[PartitionWorker]
+    ) -> Optional[_GroupIndex]:
+        """Index the live workers; the simulator keeps it current."""
+        return _GroupIndex(self, workers, heaped=True) if workers else None
 
     # ------------------------------------------------------------------ #
     # Algorithm 2
@@ -84,139 +303,75 @@ class ElsaScheduler(Scheduler):
     def on_arrival(
         self, query: Query, context: SchedulingContext
     ) -> Optional[PartitionWorker]:
-        if self._hetero:
-            return self._on_arrival_hetero(query, context)
-        # Lean scoring loop for the replay hot path: one pass over the
-        # workers, no per-(query, worker) tuple rows and no sort, yet the
+        # One pass over the (architecture, size) groups in Step-A order,
+        # with no per-(query, worker) rows and no per-arrival sort, yet the
         # same float operations and the same decisions as walking
         # :meth:`predictions`:
         #
-        # * within one partition size, execution time is constant, so Step A
-        #   only ever accepts that size's least-loaded instance (smallest
-        #   (T_wait, id)) — if it misses the SLA slack, every sibling does;
+        # * within one group execution time is constant, so Step A only ever
+        #   accepts the group's least-loaded member (smallest (T_wait, id)):
+        #   if it misses the SLA slack, every sibling does;
         # * Step B's winner minimises (T_wait + T_estimated, gpcs, id), a
         #   total order independent of visit order.
         #
-        # Arrivals dominate simulated time, and this method runs once per
-        # arrival against every worker.
-        estimator = self.estimator
-        oracle = estimator.estimator  # memoized T_estimated lookup
+        # On a mixed fleet each group's T_estimated and queued work resolve
+        # through its own architecture's table, so an H100 GPU(2) and an
+        # A30 GPU(2) are scored by what *they* would actually take.
+        index = context.index
+        if not isinstance(index, _GroupIndex):
+            # Naive path or a hand-built context: read every group directly.
+            index = _GroupIndex(self, context.workers)
         now = context.now
-        model, batch = query.model, query.batch
-
-        execution_by_size: dict = {}
-        group_best: dict = {}  # gpcs -> (wait, instance_id, worker)
-        best_total = best_worker = None
+        sla = query.sla_target
+        alpha, beta = self.estimator.alpha, self.estimator.beta
+        chosen = best_worker = None
+        best_total = 0.0
         best_gpcs = best_id = 0
-        for worker in context.workers:
-            gpcs = worker.gpcs
-            execution = execution_by_size.get(gpcs)
-            if execution is None:
-                execution = execution_by_size[gpcs] = oracle(model, batch, gpcs)
-            wait = worker.estimated_wait(now, oracle)
-            instance_id = worker.instance_id
-            entry = group_best.get(gpcs)
-            if entry is None or wait < entry[0] or (wait == entry[0] and instance_id < entry[1]):
-                group_best[gpcs] = (wait, instance_id, worker)
-            total = wait + execution
+        for execution, group in index.plan(query.model, query.batch):
+            oracle = group.oracle
+            candidates = (
+                group.members
+                if group.busy is None
+                else group.candidates(now, execution)
+            )
+            step_a = step_b = None
+            a_wait = b_total = 0.0
+            a_id = b_id = 0
+            for worker in candidates:
+                wait = worker.estimated_wait(now, oracle)
+                instance_id = worker.instance_id
+                if step_a is None or wait < a_wait or (
+                    wait == a_wait and instance_id < a_id
+                ):
+                    step_a, a_wait, a_id = worker, wait, instance_id
+                total = wait + execution
+                if step_b is None or total < b_total or (
+                    total == b_total and instance_id < b_id
+                ):
+                    step_b, b_total, b_id = worker, total, instance_id
+            # Step A: the first group in order whose least-loaded member
+            # still satisfies the SLA.
             if (
-                best_total is None
-                or total < best_total
+                chosen is None
+                and sla is not None
+                and sla - alpha * (a_wait + beta * execution) > 0.0
+            ):
+                chosen = step_a
+            gpcs = group.gpcs
+            if (
+                best_worker is None
+                or b_total < best_total
                 or (
-                    total == best_total
-                    and (gpcs < best_gpcs or (gpcs == best_gpcs and instance_id < best_id))
+                    b_total == best_total
+                    and (gpcs < best_gpcs or (gpcs == best_gpcs and b_id < best_id))
                 )
             ):
-                best_total, best_worker = total, worker
-                best_gpcs, best_id = gpcs, instance_id
-
-        sla = query.sla_target
-        if sla is not None:
-            # Step A: smallest partition that still satisfies the SLA.
-            alpha, beta = estimator.alpha, estimator.beta
-            sizes = sorted(execution_by_size, reverse=not self.prefer_smallest)
-            for gpcs in sizes:
-                wait, _, worker = group_best[gpcs]
-                if sla - alpha * (wait + beta * execution_by_size[gpcs]) > 0.0:
-                    return worker
-
+                best_worker, best_total = step_b, b_total
+                best_gpcs, best_id = gpcs, b_id
+        if chosen is not None:
+            return chosen
         # Step B: no partition satisfies the SLA (or the query carries no
         # SLA): pick the partition that completes the query the fastest.
-        return best_worker
-
-    # ------------------------------------------------------------------ #
-    # Algorithm 2 on a mixed-architecture fleet
-    # ------------------------------------------------------------------ #
-    def _on_arrival_hetero(
-        self, query: Query, context: SchedulingContext
-    ) -> Optional[PartitionWorker]:
-        """The lean scoring loop generalised to ``(architecture, size)`` groups.
-
-        Within one (architecture, size) group execution time is constant, so
-        the group's least-loaded instance is its only Step-A candidate —
-        the same argument as the single-architecture loop, per group.  The
-        per-group ``T_estimated`` and every queued-work estimate resolve
-        through that architecture's own profile table, so an H100 GPU(2)
-        and an A30 GPU(2) are scored by what *they* would actually take.
-
-        Step A's smallest-first preference generalises to *least capable
-        first*: groups are visited by descending estimated execution time of
-        this very query (slowest slice first), which on one architecture
-        degenerates to ascending partition size.  Step B is unchanged —
-        minimum predicted completion time across the whole fleet.
-        """
-        estimator = self.estimator
-        now = context.now
-        model, batch = query.model, query.batch
-
-        execution_by_group: dict = {}
-        group_best: dict = {}  # (arch, gpcs) -> (wait, instance_id, worker)
-        oracle_cache: dict = {}
-        best_total = best_worker = None
-        best_gpcs = best_id = 0
-        for worker in context.workers:
-            arch = worker.arch_name
-            gpcs = worker.gpcs
-            group = (arch, gpcs)
-            oracle = oracle_cache.get(arch)
-            if oracle is None:
-                oracle = oracle_cache[arch] = estimator.oracle_for(worker)
-            execution = execution_by_group.get(group)
-            if execution is None:
-                execution = execution_by_group[group] = oracle(model, batch, gpcs)
-            wait = worker.estimated_wait(now, oracle)
-            instance_id = worker.instance_id
-            entry = group_best.get(group)
-            if entry is None or wait < entry[0] or (wait == entry[0] and instance_id < entry[1]):
-                group_best[group] = (wait, instance_id, worker)
-            total = wait + execution
-            if (
-                best_total is None
-                or total < best_total
-                or (
-                    total == best_total
-                    and (gpcs < best_gpcs or (gpcs == best_gpcs and instance_id < best_id))
-                )
-            ):
-                best_total, best_worker = total, worker
-                best_gpcs, best_id = gpcs, instance_id
-
-        sla = query.sla_target
-        if sla is not None:
-            alpha, beta = estimator.alpha, estimator.beta
-            # Least-capable-first: slowest execution first (reverse for the
-            # largest-first ablation); deterministic ties by size then
-            # architecture name.
-            ordered = sorted(
-                execution_by_group.items(),
-                key=lambda kv: (-kv[1], kv[0][1], kv[0][0]),
-                reverse=not self.prefer_smallest,
-            )
-            for group, execution in ordered:
-                wait, _, worker = group_best[group]
-                if sla - alpha * (wait + beta * execution) > 0.0:
-                    return worker
-
         return best_worker
 
     # ------------------------------------------------------------------ #
@@ -224,31 +379,31 @@ class ElsaScheduler(Scheduler):
     # ------------------------------------------------------------------ #
     def predictions(
         self, query: Query, context: SchedulingContext
-    ) -> List[tuple]:
+    ) -> List[Tuple[SlackPrediction, PartitionWorker]]:
         """Slack predictions for ``query`` on every partition, in Step-A order.
 
-        Partitions are visited from the smallest size upwards (Algorithm 2,
-        line 3); among instances of the same size, the least-loaded instance
-        (smallest ``T_wait``) is considered first so that equal-sized
-        partitions share load instead of piling queries onto one queue.
+        Groups are visited in :meth:`on_arrival`'s order: by size from the
+        smallest upwards (Algorithm 2, line 3), or least capable first on a
+        mixed-architecture fleet.  Within a group the least-loaded instance
+        (smallest ``T_wait``, then instance id) comes first, so that
+        equal-sized partitions share load instead of piling queries onto
+        one queue.
         """
-        scored = [
-            (
-                self.estimator.predict(
-                    worker, query.batch, query.sla_target, context.now,
-                    model=query.model,
-                ),
-                worker,
-            )
-            for worker in context.workers
-        ]
-        scored.sort(
-            key=lambda pw: (
-                -pw[1].gpcs if not self.prefer_smallest else pw[1].gpcs,
-                pw[0].wait_time,
-                pw[1].instance_id,
-            )
-        )
+        scored: List[Tuple[SlackPrediction, PartitionWorker]] = []
+        index = _GroupIndex(self, context.workers)
+        for _, group in index.plan(query.model, query.batch):
+            rows = [
+                (
+                    self.estimator.predict(
+                        worker, query.batch, query.sla_target, context.now,
+                        model=query.model,
+                    ),
+                    worker,
+                )
+                for worker in group.members
+            ]
+            rows.sort(key=lambda pw: (pw[0].wait_time, pw[1].instance_id))
+            scored.extend(rows)
         return scored
 
     @property

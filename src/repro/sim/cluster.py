@@ -50,6 +50,7 @@ from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 from typing import (
+    Callable,
     Deque,
     Dict,
     Iterator,
@@ -92,7 +93,7 @@ from repro.sim.metrics import (
     compute_statistics,
     compute_statistics_from_arrays,
 )
-from repro.sim.scheduler_api import Scheduler, SchedulingContext
+from repro.sim.scheduler_api import Scheduler, SchedulingContext, WorkerIndex
 from repro.sim.worker import LatencyFn, PartitionWorker
 from repro.workload.query import Query
 from repro.workload.trace import QueryTrace
@@ -370,6 +371,14 @@ class InferenceServerSimulator:
         self._idle_map: Dict[Tuple[int, int], PartitionWorker] = {}
         self._idle_view = _IdleWorkersView(self._idle_keys, self._idle_map)
         self._context: Optional[SchedulingContext] = None
+        # The scheduler's worker index (fast path): its roster hook is bound
+        # when a run opens, and the index and its worker hook are replaced on
+        # every roster change and dropped when the run closes.
+        self._roster_hook: Optional[
+            Callable[[Sequence[PartitionWorker]], Optional[WorkerIndex]]
+        ] = None
+        self._index: Optional[WorkerIndex] = None
+        self._worker_hook: Optional[Callable[[PartitionWorker], None]] = None
         if self._fast:
             for worker in self.workers:
                 self._mark_idle(worker)
@@ -475,6 +484,14 @@ class InferenceServerSimulator:
             keys = self._idle_keys
             del keys[bisect_left(keys, key)]
 
+    def _reindex(self) -> None:
+        """The live roster changed: ask the scheduler for a fresh index."""
+        hook = self._roster_hook
+        index = hook(self.workers) if hook is not None else None
+        self._index = index
+        self._worker_hook = index.worker_changed if index is not None else None
+        self._context = None  # the next fast context carries the new index
+
     def _make_context(self, now: float) -> SchedulingContext:
         """Naive-path context: fresh snapshot copies per scheduling moment."""
         return SchedulingContext(
@@ -492,7 +509,8 @@ class InferenceServerSimulator:
         The central queue and idle view are the simulator's own structures —
         documented read-only for schedulers — and only ``now`` changes
         between scheduling moments, so the frozen dataclass is rebuilt only
-        when the worker list itself is swapped (a live reconfiguration).
+        when the worker list itself is swapped (a live reconfiguration) or
+        the roster changed (:meth:`_reindex`).
         """
         context = self._context
         if context is None or context.workers is not self.workers:
@@ -503,6 +521,7 @@ class InferenceServerSimulator:
                 estimator=self._latency_fn,
                 idle=self._idle_view,
                 estimators=self._arch_estimators,
+                index=self._index,
             )
         else:
             object.__setattr__(context, "now", now)
@@ -621,6 +640,9 @@ class InferenceServerSimulator:
         self._rebind_handlers()
         self._build_workers()
         self._reset_run_state()
+        if self._fast:
+            self._roster_hook = self.scheduler.on_roster_change
+            self._reindex()
         self._active = True
 
     def submit(self, query: Query) -> None:
@@ -727,6 +749,10 @@ class InferenceServerSimulator:
     def _close(self, offered_load_qps: Optional[float]) -> SimulationResult:
         """Digest and seal the open run at the current simulation time."""
         self._active = False
+        # Release the scheduler's index: it references every worker, and
+        # through them every query of the run.
+        self._roster_hook = None
+        self._reindex()
         if offered_load_qps is None:
             offered_load_qps = self._observed_arrival_rate()
         makespan = self._clock.now
@@ -928,6 +954,7 @@ class InferenceServerSimulator:
 
         self._retired_workers.extend(self.workers)
         self.workers = []
+        self._reindex()
         self._staged = _StagedReconfig(
             started=now,
             drain_deadline=drain_deadline,
@@ -952,6 +979,7 @@ class InferenceServerSimulator:
         for worker in new_workers:
             worker.created_at = now
             self._mark_idle(worker)
+        self._reindex()
         self._draining_ids.clear()
         self._staged = None
         record = ReconfigurationRecord(
@@ -1041,6 +1069,7 @@ class InferenceServerSimulator:
         self._mark_busy(worker)  # drop from the idle index
         self.workers.remove(worker)  # in place: the fast context view stays live
         self._crashed[instance_id] = worker
+        self._reindex()
         worker.retired_at = now
         handlers = self._h_crashed
         if handlers:
@@ -1125,6 +1154,7 @@ class InferenceServerSimulator:
         self.workers.append(worker)
         self.workers.sort(key=lambda w: (w.gpcs, w.instance_id))  # in place
         self._workers_by_id[instance_id] = worker
+        self._reindex()
         handlers = self._h_recovered
         if handlers:
             recovered = WorkerRecovered(now, instance_id, worker.gpcs)
@@ -1165,6 +1195,8 @@ class InferenceServerSimulator:
         if worker is None:
             raise KeyError(f"no worker with instance id {instance_id}")
         worker.slow_factor = multiplier
+        if self._worker_hook is not None:
+            self._worker_hook(worker)
 
     def emit_event(self, event: SimEvent) -> None:
         """Deliver an externally constructed lifecycle event to observers.
@@ -1284,6 +1316,8 @@ class InferenceServerSimulator:
 
         # Start the next locally queued query, if any.
         finish = worker.start_next(now)
+        if self._worker_hook is not None:
+            self._worker_hook(worker)
         if finish is not None:
             self._events.push(finish, _COMPLETION, worker.current_query, worker)
             return
@@ -1428,6 +1462,8 @@ class InferenceServerSimulator:
             for handler in dispatch_handlers:
                 handler(dispatched)
         finish = worker.start_next(now)
+        if self._worker_hook is not None:
+            self._worker_hook(worker)
         if finish is not None:
             if self._fast:
                 self._events.push(finish, _COMPLETION, worker.current_query, worker)

@@ -16,6 +16,14 @@ Two queueing disciplines are expressible through this interface:
   partition immediately, and ``on_worker_idle`` returns ``None`` because
   every query already sits in some partition's local queue.
 
+A policy may also keep a per-run *index* over the workers
+(:meth:`Scheduler.on_roster_change`).  The fast-path simulator asks for one
+whenever its live worker set changes, passes it back to every decision as
+:attr:`SchedulingContext.index`, and calls the index's ``worker_changed``
+after every mutation of a worker's queue, in-flight query or slowdown, so
+the index never has to rescan the workers.  The naive path never builds an
+index; policies must decide identically without one.
+
 Concrete policies live in :mod:`repro.core.schedulers` (FIFS and other
 baselines) and :mod:`repro.core.elsa`.
 """
@@ -24,10 +32,18 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional, Protocol, Sequence
 
 from repro.sim.worker import LatencyFn, PartitionWorker
 from repro.workload.query import Query
+
+
+class WorkerIndex(Protocol):
+    """A policy's per-run index over the live workers (fast path only)."""
+
+    def worker_changed(self, worker: PartitionWorker) -> None:
+        """``worker``'s queue, in-flight query or slowdown just changed."""
+        ...
 
 
 @dataclass(frozen=True)
@@ -56,6 +72,11 @@ class SchedulingContext:
             name, set only on mixed-architecture fleets; ``None`` on
             single-architecture servers (every worker then shares
             ``estimator``).
+        index: the scheduler's own index over ``workers``, as returned by
+            its :meth:`Scheduler.on_roster_change` for the current roster
+            and kept current through ``worker_changed``; ``None`` on the
+            naive path, for hand-built contexts and for policies without
+            one.
     """
 
     now: float
@@ -64,6 +85,7 @@ class SchedulingContext:
     estimator: LatencyFn
     idle: Optional[Sequence[PartitionWorker]] = None
     estimators: Optional[Mapping[str, LatencyFn]] = None
+    index: Optional[WorkerIndex] = None
 
     def oracle_for(self, worker: PartitionWorker) -> LatencyFn:
         """The latency oracle matching ``worker``'s architecture.
@@ -110,6 +132,21 @@ class Scheduler(abc.ABC):
 
     def reset(self) -> None:
         """Clear any internal state before a fresh simulation run."""
+
+    def on_roster_change(
+        self, workers: Sequence[PartitionWorker]
+    ) -> Optional[WorkerIndex]:
+        """Index a new live worker set, or return ``None`` for no index.
+
+        The fast-path simulator calls this when a run opens and whenever a
+        worker joins or leaves the pool (crash, restore, live
+        reconfiguration); the returned index replaces the previous one and
+        lives until the next roster change or the end of the run.  The
+        default keeps no index, so policies that scan ``context.workers``
+        pay nothing per event.
+        """
+        del workers
+        return None
 
     @staticmethod
     def idle_workers(context: SchedulingContext) -> List[PartitionWorker]:

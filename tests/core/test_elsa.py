@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.elsa import ElsaScheduler
+from repro.gpu.architecture import A30, A100
 from repro.gpu.partition import GPUPartition, PartitionInstance
 from repro.sim.scheduler_api import SchedulingContext
 from repro.sim.worker import PartitionWorker
@@ -12,13 +13,16 @@ from tests.sim.helpers import constant_profile
 
 
 LATENCIES = {1: 3.0, 3: 2.0, 7: 1.0}
+#: A second architecture whose GPU(1) beats the first one's and whose GPU(4)
+#: beats its GPU(7): size order and least-capable-first order disagree.
+A30_LATENCIES = {1: 2.0, 2: 1.5, 4: 0.5}
 
 
-def make_workers(sizes=(1, 3, 7)):
-    profile = constant_profile(LATENCIES)
+def make_workers(sizes=(1, 3, 7), arch=A100, latencies=LATENCIES, first_id=0):
+    profile = constant_profile(latencies)
     workers = []
-    for idx, size in enumerate(sorted(sizes)):
-        instance = PartitionInstance(idx, GPUPartition(size))
+    for idx, size in enumerate(sorted(sizes), start=first_id):
+        instance = PartitionInstance(idx, GPUPartition(size, arch))
         workers.append(
             PartitionWorker(
                 instance,
@@ -26,6 +30,13 @@ def make_workers(sizes=(1, 3, 7)):
             )
         )
     return workers
+
+
+def make_mixed_workers():
+    """A100 GPU(1)/(3)/(7) plus A30 GPU(1)/(2)/(4), in instance-id order."""
+    return make_workers() + make_workers(
+        (1, 2, 4), arch=A30, latencies=A30_LATENCIES, first_id=3
+    )
 
 
 def make_context(workers, now=0.0):
@@ -44,6 +55,16 @@ def make_query(qid=0, batch=4, sla=None):
 
 def make_scheduler(**kwargs):
     return ElsaScheduler(profile=constant_profile(LATENCIES), **kwargs)
+
+
+def make_mixed_scheduler(**kwargs):
+    return make_scheduler(
+        arch_profiles={
+            A100.name: {"toy": constant_profile(LATENCIES)},
+            A30.name: {"toy": constant_profile(A30_LATENCIES)},
+        },
+        **kwargs,
+    )
 
 
 class TestStepA:
@@ -122,7 +143,9 @@ class TestLeanArrivalMatchesPredictions:
 
     The hot path inlines Algorithm 2 over plain tuples; this pins it to the
     introspectable :meth:`ElsaScheduler.predictions` reference so a future
-    change to the slack formula cannot silently diverge the two.
+    change to the slack formula cannot silently diverge the two, on one
+    architecture and on a two-architecture worker set (where Step A visits
+    groups least capable first, not by size).
     """
 
     @staticmethod
@@ -132,12 +155,16 @@ class TestLeanArrivalMatchesPredictions:
             for prediction, worker in predictions:
                 if prediction.satisfies_sla:
                     return worker
-        best = min(predictions, key=lambda pw: (pw[0].completion_time, pw[0].gpcs))
+        best = min(
+            predictions,
+            key=lambda pw: (pw[0].completion_time, pw[0].gpcs, pw[0].instance_id),
+        )
         return best[1]
 
     @settings(max_examples=60, deadline=None)
     @given(
-        backlog=st.lists(st.integers(0, 4), min_size=3, max_size=3),
+        mixed=st.booleans(),
+        backlog=st.lists(st.integers(0, 4), min_size=6, max_size=6),
         batch=st.integers(1, 32),
         sla=st.one_of(st.none(), st.floats(0.05, 30.0, allow_nan=False)),
         alpha=st.floats(0.5, 2.5),
@@ -146,15 +173,15 @@ class TestLeanArrivalMatchesPredictions:
         now=st.floats(0.0, 2.0, allow_nan=False),
     )
     def test_decisions_identical(
-        self, backlog, batch, sla, alpha, beta, prefer_smallest, now
+        self, mixed, backlog, batch, sla, alpha, beta, prefer_smallest, now
     ):
-        workers = make_workers()
+        workers = make_mixed_workers() if mixed else make_workers()
         for worker, queued in zip(workers, backlog):
             for i in range(queued):
                 worker.enqueue(make_query(100 + i), 0.0)
             if queued:
                 worker.start_next(0.0)
-        scheduler = make_scheduler(
+        scheduler = (make_mixed_scheduler if mixed else make_scheduler)(
             alpha=alpha, beta=beta, prefer_smallest=prefer_smallest
         )
         query = make_query(batch=batch, sla=sla)
