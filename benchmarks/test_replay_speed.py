@@ -2,8 +2,8 @@
 
 The fast-path work (tuple-keyed event heap, columnar per-query runtime state
 with zero-copy digestion, memoized ``CachedEstimator``, incrementally
-maintained queued-work totals, live idle-worker view, reused scheduling
-context) only counts if it (a) never changes simulated outcomes and
+maintained queued-work totals, the scheduler's per-run worker index, reused
+scheduling context) only counts if it (a) never changes simulated outcomes and
 (b) actually moves events/second.  This benchmark pins both on a fixed
 overloaded PARIS+ELSA workload — the regime the paper's
 latency-bounded-throughput searches spend most of their replays in:

@@ -291,12 +291,6 @@ class ExperimentSettings:
         return self._runner
 
 
-def _measure_deployment(args) -> DesignPointResult:
-    """Picklable worker: one deployment's latency-bounded throughput."""
-    settings, deployment, max_batch, sigma = args
-    return settings.measure(deployment, max_batch=max_batch, sigma=sigma)
-
-
 def _measure_deployment_shared(shared, deployment: Deployment) -> DesignPointResult:
     """Picklable shared-state worker: settings ship once per pool worker."""
     settings, max_batch, sigma = shared

@@ -392,12 +392,6 @@ def capacity_estimate(deployment: Deployment, workload: WorkloadConfig) -> float
     return total
 
 
-def _measure_point(args: Tuple[Deployment, WorkloadConfig, float, int]) -> DesignPointResult:
-    """Picklable worker: one (deployment, workload, rate, seed) replay."""
-    deployment, workload, rate, seed = args
-    return measure_design(deployment, workload, rate, seed=seed)
-
-
 def _measure_point_shared(
     shared: Tuple[Deployment, WorkloadConfig], point: Tuple[float, int]
 ) -> DesignPointResult:

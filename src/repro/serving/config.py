@@ -138,9 +138,10 @@ class ServerConfig:
             in queries/second; ``None`` means the frontend is never the
             bottleneck.
         fast_path: run simulators for this design on the optimised replay
-            loop (memoized latency estimator, indexed idle set, incremental
-            queued-work totals).  Simulated outcomes are bit-identical
-            either way; disable only to time the naive reference path.
+            loop (memoized latency estimator, scheduler worker indexes,
+            incremental queued-work totals).  Simulated outcomes are
+            bit-identical either way; disable only to time the naive
+            reference path.
         partitioner_spec: per-policy spec object handed to the partitioner
             factory (overrides the flat fields above when set).
         scheduler_spec: per-policy spec object handed to the scheduler

@@ -36,24 +36,25 @@ live in a tuple-keyed heap (:class:`~repro.sim.engine.TupleEventQueue` — no
 runtime state lives in a struct-of-arrays store
 (:class:`~repro.sim.columnar.QueryColumns`) that statistics digestion reads
 zero-copy, and one reused :class:`~repro.sim.scheduler_api.SchedulingContext`
-plus a live idle-worker view replace the per-event snapshot copies.  The
-naive path keeps the original object-per-event machinery as the reference
-both semantics (bit-identical results, pinned by the identity property
-tests) and timing (the replay-speed benchmark) are measured against.
+replaces the per-event snapshot copies.  A policy that needs an index over
+the workers (ELSA's size groups, FIFS's idle set) keeps its own, through
+:meth:`~repro.sim.scheduler_api.Scheduler.on_roster_change`; the simulator
+keeps it current and holds no other worker index.  The naive path keeps the
+original object-per-event machinery as the reference both semantics
+(bit-identical results, pinned by the identity property tests) and timing
+(the replay-speed benchmark) are measured against.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import heapq
-from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 from typing import (
     Callable,
     Deque,
     Dict,
-    Iterator,
     List,
     Optional,
     Protocol,
@@ -115,45 +116,6 @@ class RetryPolicyLike(Protocol):
     def delay(self, attempt: int) -> float:
         """Backoff in seconds before retry ``attempt`` (1-based)."""
         ...
-
-
-class _IdleWorkersView:
-    """Live, read-only sequence view over the fast path's idle-worker index.
-
-    Handed to schedulers as ``SchedulingContext.idle``: building it costs
-    nothing per event (the keys/map are the simulator's own index), and
-    policies that never look at idle workers (ELSA) never pay for a
-    snapshot.  Iteration order matches a full ``workers`` scan, exactly like
-    the tuple snapshots it replaces.
-    """
-
-    __slots__ = ("_keys", "_map")
-
-    def __init__(
-        self,
-        keys: List[Tuple[int, int]],
-        mapping: Dict[Tuple[int, int], PartitionWorker],
-    ) -> None:
-        self._keys = keys
-        self._map = mapping
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-    def __bool__(self) -> bool:
-        return bool(self._keys)
-
-    def __iter__(self) -> Iterator[PartitionWorker]:
-        mapping = self._map
-        return iter([mapping[key] for key in self._keys])
-
-    def __getitem__(
-        self, item: Union[int, slice]
-    ) -> Union[PartitionWorker, List[PartitionWorker]]:
-        if isinstance(item, slice):
-            mapping = self._map
-            return [mapping[key] for key in self._keys[item]]
-        return self._map[self._keys[item]]
 
 
 @dataclass(frozen=True)
@@ -257,11 +219,12 @@ class InferenceServerSimulator:
         fast_path: enable the columnar replay core — tuple-keyed event heap,
             struct-of-arrays runtime state with zero-copy digestion, memoized
             :class:`~repro.perf.lookup.CachedEstimator`, incrementally
-            maintained queued-work totals, a live idle-worker view and a
-            reused scheduling context.  Simulated outcomes are bit-identical
-            either way (pinned by the replay benchmark and the identity
-            property tests); the naive path exists as the reference for that
-            contract and for speed comparisons.
+            maintained queued-work totals, a reused scheduling context and
+            the scheduler's own worker index, if it keeps one.  Simulated
+            outcomes are bit-identical either way (pinned by the replay
+            benchmark and the identity property tests); the naive path
+            exists as the reference for that contract and for speed
+            comparisons.
         arch_profiles: per-architecture per-model lookup tables
             (``architecture name -> model name -> table``) for
             mixed-architecture fleets.  With two or more architectures every
@@ -364,12 +327,6 @@ class InferenceServerSimulator:
         )
         self._central_queue: Deque[Query] = deque()
         self._events_processed = 0
-        # Indexed idle-worker set (fast path): sorted (gpcs, instance_id)
-        # keys mirror the workers-list ordering, so idle views match what a
-        # full scan would produce.
-        self._idle_keys: List[Tuple[int, int]] = []
-        self._idle_map: Dict[Tuple[int, int], PartitionWorker] = {}
-        self._idle_view = _IdleWorkersView(self._idle_keys, self._idle_map)
         self._context: Optional[SchedulingContext] = None
         # The scheduler's worker index (fast path): its roster hook is bound
         # when a run opens, and the index and its worker hook are replaced on
@@ -379,9 +336,6 @@ class InferenceServerSimulator:
         ] = None
         self._index: Optional[WorkerIndex] = None
         self._worker_hook: Optional[Callable[[PartitionWorker], None]] = None
-        if self._fast:
-            for worker in self.workers:
-                self._mark_idle(worker)
         self._frontend_gap = (
             1.0 / self.frontend_capacity_qps if self.frontend_capacity_qps else 0.0
         )
@@ -465,25 +419,6 @@ class InferenceServerSimulator:
             # handlers read current timestamps, exactly like the naive path
             self._columns.write_back()
 
-    # ------------------------------------------------------------------ #
-    # indexed idle-worker set (fast path)
-    # ------------------------------------------------------------------ #
-    def _mark_idle(self, worker: PartitionWorker) -> None:
-        if not self._fast:
-            return
-        key = (worker.gpcs, worker.instance_id)
-        if key not in self._idle_map:
-            self._idle_map[key] = worker
-            insort(self._idle_keys, key)
-
-    def _mark_busy(self, worker: PartitionWorker) -> None:
-        if not self._fast:
-            return
-        key = (worker.gpcs, worker.instance_id)
-        if self._idle_map.pop(key, None) is not None:
-            keys = self._idle_keys
-            del keys[bisect_left(keys, key)]
-
     def _reindex(self) -> None:
         """The live roster changed: ask the scheduler for a fresh index."""
         hook = self._roster_hook
@@ -499,18 +434,17 @@ class InferenceServerSimulator:
             workers=self.workers,
             central_queue=tuple(self._central_queue),
             estimator=self._latency_fn,
-            idle=None,
             estimators=self._arch_estimators,
         )
 
     def _fast_context(self, now: float) -> SchedulingContext:
         """Fast-path context: one reused object over live (read-only) views.
 
-        The central queue and idle view are the simulator's own structures —
-        documented read-only for schedulers — and only ``now`` changes
-        between scheduling moments, so the frozen dataclass is rebuilt only
-        when the worker list itself is swapped (a live reconfiguration) or
-        the roster changed (:meth:`_reindex`).
+        The central queue is the simulator's own deque — documented
+        read-only for schedulers — and only ``now`` changes between
+        scheduling moments, so the frozen dataclass is rebuilt only when the
+        worker list itself is swapped (a live reconfiguration) or the roster
+        changed (:meth:`_reindex`).
         """
         context = self._context
         if context is None or context.workers is not self.workers:
@@ -519,7 +453,6 @@ class InferenceServerSimulator:
                 workers=self.workers,
                 central_queue=self._central_queue,
                 estimator=self._latency_fn,
-                idle=self._idle_view,
                 estimators=self._arch_estimators,
                 index=self._index,
             )
@@ -927,9 +860,6 @@ class InferenceServerSimulator:
             else:
                 worker.retired_at = now
             self._draining_ids.add(worker.instance_id)
-        # No partition accepts work during the swap: empty the idle index.
-        self._idle_keys.clear()
-        self._idle_map.clear()
 
         # Renumber the new instances so ids stay unique across generations
         # (per-instance statistics and completion events never collide).
@@ -978,7 +908,6 @@ class InferenceServerSimulator:
         self._workers_by_id = {w.instance_id: w for w in new_workers}
         for worker in new_workers:
             worker.created_at = now
-            self._mark_idle(worker)
         self._reindex()
         self._draining_ids.clear()
         self._staged = None
@@ -1066,7 +995,6 @@ class InferenceServerSimulator:
         if len(self.workers) <= 1:
             raise RuntimeError("cannot crash the last live worker")
         now = self._clock.now
-        self._mark_busy(worker)  # drop from the idle index
         self.workers.remove(worker)  # in place: the fast context view stays live
         self._crashed[instance_id] = worker
         self._reindex()
@@ -1160,7 +1088,6 @@ class InferenceServerSimulator:
             recovered = WorkerRecovered(now, instance_id, worker.gpcs)
             for handler in handlers:
                 handler(recovered)
-        self._mark_idle(worker)
         # Offer the recovered worker backlog from the central queue, exactly
         # like the post-completion idle path.
         if self._central_queue:
@@ -1322,10 +1249,6 @@ class InferenceServerSimulator:
             self._events.push(finish, _COMPLETION, worker.current_query, worker)
             return
 
-        # The worker is now fully idle; index it before consulting the
-        # scheduler so the context's idle view matches a full scan.
-        self._mark_idle(worker)
-
         # Otherwise offer the idle worker a query from the central queue.
         if self._central_queue:
             pulled = self.scheduler.on_worker_idle(worker, self._fast_context(now))
@@ -1454,7 +1377,6 @@ class InferenceServerSimulator:
         query: Query,
         now: float,
     ) -> None:
-        self._mark_busy(worker)
         worker.enqueue(query, now)
         dispatch_handlers = self._h_dispatched
         if dispatch_handlers:

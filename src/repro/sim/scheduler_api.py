@@ -21,8 +21,10 @@ A policy may also keep a per-run *index* over the workers
 whenever its live worker set changes, passes it back to every decision as
 :attr:`SchedulingContext.index`, and calls the index's ``worker_changed``
 after every mutation of a worker's queue, in-flight query or slowdown, so
-the index never has to rescan the workers.  The naive path never builds an
-index; policies must decide identically without one.
+the index never has to rescan the workers.  This is the only worker index
+the simulator holds: ELSA keeps its ``(architecture, size)`` groups there
+and FIFS its idle workers.  The naive path never builds an index; policies
+must decide identically without one.
 
 Concrete policies live in :mod:`repro.core.schedulers` (FIFS and other
 baselines) and :mod:`repro.core.elsa`.
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Protocol, Sequence
+from typing import Mapping, Optional, Protocol, Sequence
 
 from repro.sim.worker import LatencyFn, PartitionWorker
 from repro.workload.query import Query
@@ -63,11 +65,6 @@ class SchedulingContext:
             mixed-architecture fleet this is the *primary* architecture's
             oracle; use :meth:`oracle_for` to resolve the right oracle per
             worker.
-        idle: the completely idle workers in ``workers`` order, maintained
-            incrementally by the fast-path simulator so policies need not
-            rescan every worker per event; ``None`` when the caller did not
-            precompute it (``Scheduler.idle_workers`` then falls back to a
-            scan, which yields the same list).
         estimators: per-architecture latency oracles keyed by architecture
             name, set only on mixed-architecture fleets; ``None`` on
             single-architecture servers (every worker then shares
@@ -83,7 +80,6 @@ class SchedulingContext:
     workers: Sequence[PartitionWorker]
     central_queue: Sequence[Query]
     estimator: LatencyFn
-    idle: Optional[Sequence[PartitionWorker]] = None
     estimators: Optional[Mapping[str, LatencyFn]] = None
     index: Optional[WorkerIndex] = None
 
@@ -147,18 +143,6 @@ class Scheduler(abc.ABC):
         """
         del workers
         return None
-
-    @staticmethod
-    def idle_workers(context: SchedulingContext) -> List[PartitionWorker]:
-        """Convenience: all completely idle workers, smallest partition first.
-
-        Uses the simulator-maintained idle index when the context carries
-        one; otherwise scans every worker.  Both paths return the same
-        workers in the same order.
-        """
-        if context.idle is not None:
-            return list(context.idle)
-        return [worker for worker in context.workers if worker.is_idle]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"

@@ -105,15 +105,12 @@ class TestFifsScheduler:
         scheduler = FifsScheduler("round_robin")
         picks = []
         for i in range(30):
-            idle = workers[:2] if i % 2 == 0 else workers
-            context = SchedulingContext(
-                now=0.0,
-                workers=workers,
-                central_queue=(),
-                estimator=lambda model, batch, gpcs: 1.0,
-                idle=idle,
-            )
+            if i % 2 == 0:
+                # a query queued on worker 2 leaves only {0, 1} idle
+                workers[2].enqueue(make_query(100 + i), 0.0)
+            context = make_context(workers)
             picks.append(scheduler.on_arrival(make_query(i), context).instance_id)
+            workers[2].drain_queue()
         counts = {wid: picks.count(wid) for wid in (0, 1, 2)}
         # every instance participates substantially (the old code gave
         # instance 2 only ~1 in 6 picks here)

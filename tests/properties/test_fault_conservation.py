@@ -4,13 +4,15 @@ Whatever crash/restart/straggler schedule is injected and whatever the
 retry budget, every submitted query must end the run in exactly one of two
 terminal states — *completed* (a finish time, no fail time) or *failed*
 (a fail time, no finish time) — and the fast columnar path must reproduce
-the naive object path bit-for-bit, retries and failures included.
+the naive object path bit-for-bit, retries and failures included, under
+ELSA and under FIFS with every idle preference.
 """
 
 import dataclasses
 
 from hypothesis import given, settings, strategies as st
 
+from repro.core.specs import FifsSpec
 from repro.faults import (
     FaultSchedule,
     RetryPolicy,
@@ -24,6 +26,7 @@ from repro.serving.session import ServingSession
 from repro.workload.generator import WorkloadConfig
 
 CONFIG = ServerConfig(model="mobilenet", gpc_budget=24, num_gpus=4)
+FIFS_PREFERENCES = ("round_robin", "smallest", "largest", "random")
 
 
 def _workload(seed):
@@ -63,6 +66,17 @@ def retry_policies(draw):
     )
 
 
+@st.composite
+def server_configs(draw):
+    """CONFIG under ELSA, or under FIFS with a drawn idle preference."""
+    if draw(st.booleans()):
+        return CONFIG
+    spec = FifsSpec(idle_preference=draw(st.sampled_from(FIFS_PREFERENCES)))
+    return ServerConfig.from_specs(
+        "mobilenet", scheduler=spec, gpc_budget=24, num_gpus=4
+    )
+
+
 def _run(config, schedule, policy, seed):
     session = ServingSession(
         config, window=0.25, faults=schedule, retry_policy=policy
@@ -94,11 +108,16 @@ def test_every_arrival_completes_or_fails_exactly_once(schedule, policy, seed):
 
 
 @settings(max_examples=10, deadline=None)
-@given(schedule=fault_schedules(), policy=retry_policies(), seed=st.integers(0, 50))
-def test_fast_path_reproduces_naive_path_under_faults(schedule, policy, seed):
-    fast = _run(CONFIG, schedule, policy, seed)
+@given(
+    config=server_configs(),
+    schedule=fault_schedules(),
+    policy=retry_policies(),
+    seed=st.integers(0, 50),
+)
+def test_fast_path_reproduces_naive_path_under_faults(config, schedule, policy, seed):
+    fast = _run(config, schedule, policy, seed)
     naive = _run(
-        dataclasses.replace(CONFIG, fast_path=False), schedule, policy, seed
+        dataclasses.replace(config, fast_path=False), schedule, policy, seed
     )
     assert fast.fault_events == naive.fault_events
 

@@ -1,8 +1,12 @@
 """Tests for the inference-server simulator."""
 
+import gc
+import weakref
+
 import pytest
 
-from repro.core.schedulers import FifsScheduler, LeastLoadedScheduler
+from repro.core.schedulers import FifsScheduler, LeastLoadedScheduler, _IdleSet
+from repro.faults import RetryPolicy
 from repro.sim.cluster import InferenceServerSimulator
 from tests.sim.helpers import MODEL, constant_profile, linear_profile, make_instances, make_trace
 
@@ -182,3 +186,71 @@ class TestFastPathBookkeeping:
         assert utilization[old_id] == pytest.approx(1.0)
         assert utilization[new_id] == pytest.approx(1.0)
         assert result.statistics.utilization.mean == pytest.approx(1.0)
+
+
+class _WeakIdleSet(_IdleSet):
+    """FIFS's idle set, made weak-referenceable (no ``__slots__``)."""
+
+
+class _TrackingFifs(FifsScheduler):
+    """FIFS that keeps a weak reference to every index it hands out."""
+
+    def __init__(self):
+        super().__init__()
+        self.indexes = []
+
+    def on_roster_change(self, workers):
+        index = _WeakIdleSet(workers)
+        self.indexes.append(weakref.ref(index))
+        return index
+
+
+def signature(result):
+    return [
+        (q.query_id, q.dispatch_time, q.start_time, q.finish_time, q.instance_id)
+        for q in result.queries
+    ]
+
+
+class TestSchedulerIndex:
+    @pytest.mark.parametrize("preference", ["round_robin", "smallest", "largest", "random"])
+    def test_fifs_keeps_crashed_worker_out_of_idle_set(self, preference):
+        """A crashed worker is idle, and ``set_worker_slowdown`` still
+        reports it to the index; FIFS must not dispatch to it again."""
+        trace = make_trace([(0.25 * t, 1) for t in range(20)])
+
+        def replay(fast_path):
+            simulator = make_simulator(
+                sizes=(1, 1, 7),
+                scheduler=FifsScheduler(preference),
+                fast_path=fast_path,
+            )
+            simulator.begin()
+            simulator.submit_trace(trace.fresh_copy())
+            simulator.run_until(1.0)
+            crashed_at = simulator.now
+            simulator.crash_worker(0, RetryPolicy())
+            simulator.set_worker_slowdown(0, 2.0)
+            return simulator.finish(), crashed_at
+
+        (fast, crashed_at), (naive, _) = replay(True), replay(False)
+        assert signature(fast) == signature(naive)
+        assert not [
+            q
+            for q in fast.queries
+            if q.instance_id == 0 and q.dispatch_time >= crashed_at
+        ]
+
+    @pytest.mark.parametrize("close", ["finish", "abort"])
+    def test_roster_index_released_when_run_closes(self, close):
+        scheduler = _TrackingFifs()
+        simulator = make_simulator(sizes=(1, 1, 7), scheduler=scheduler)
+        simulator.begin()
+        simulator.submit_trace(make_trace([(0.25 * t, 1) for t in range(20)]))
+        simulator.run_until(1.0)
+        simulator.crash_worker(0, RetryPolicy())
+        simulator.restore_worker(0)
+        getattr(simulator, close)()
+        gc.collect()
+        assert len(scheduler.indexes) == 3  # begin, crash, restore
+        assert [ref() for ref in scheduler.indexes] == [None, None, None]
