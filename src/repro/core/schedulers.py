@@ -14,46 +14,13 @@
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 import numpy as np
 
 from repro.sim.scheduler_api import Scheduler, SchedulingContext
 from repro.sim.worker import PartitionWorker
 from repro.workload.query import Query
-
-
-class _IdleSet:
-    """FIFS's fast-path index: the roster's idle workers in ``workers`` order.
-
-    Keys are ``(gpcs, instance_id)``, the order of ``context.workers``, so
-    :meth:`workers` lists exactly what a scan for idle workers would.  Only
-    the roster the index was built from is tracked: the simulator may still
-    report a crashed (and therefore idle) worker, which must stay out.
-    """
-
-    __slots__ = ("_roster", "_keys", "_idle")
-
-    def __init__(self, workers: Sequence[PartitionWorker]) -> None:
-        self._roster = {w.instance_id: (w.gpcs, w.instance_id) for w in workers}
-        self._idle = {self._roster[w.instance_id]: w for w in workers if w.is_idle}
-        self._keys: List[Tuple[int, int]] = sorted(self._idle)
-
-    def worker_changed(self, worker: PartitionWorker) -> None:
-        key = self._roster.get(worker.instance_id)
-        if key is None:
-            return
-        if worker.is_idle:
-            if key not in self._idle:
-                self._idle[key] = worker
-                insort(self._keys, key)
-        elif self._idle.pop(key, None) is not None:
-            del self._keys[bisect_left(self._keys, key)]
-
-    def workers(self) -> List[PartitionWorker]:
-        idle = self._idle
-        return [idle[key] for key in self._keys]
 
 
 class FifsScheduler(Scheduler):
@@ -87,19 +54,10 @@ class FifsScheduler(Scheduler):
         self._dispatch_clock = 0
         self._last_pick = {}
 
-    def on_roster_change(self, workers: Sequence[PartitionWorker]) -> _IdleSet:
-        """Track the idle workers; the simulator keeps the set current."""
-        return _IdleSet(workers)
-
     def on_arrival(
         self, query: Query, context: SchedulingContext
     ) -> Optional[PartitionWorker]:
-        index = context.index
-        if isinstance(index, _IdleSet):
-            idle = index.workers()
-        else:
-            # Naive path or a hand-built context: scan every worker.
-            idle = [worker for worker in context.workers if worker.is_idle]
+        idle = [worker for worker in context.workers if worker.is_idle]
         if not idle:
             return None  # park in the central FIFO
         return self._pick(idle)

@@ -37,7 +37,7 @@ runtime state lives in a struct-of-arrays store
 (:class:`~repro.sim.columnar.QueryColumns`) that statistics digestion reads
 zero-copy, and one reused :class:`~repro.sim.scheduler_api.SchedulingContext`
 replaces the per-event snapshot copies.  A policy that needs an index over
-the workers (ELSA's size groups, FIFS's idle set) keeps its own, through
+the workers (ELSA's size groups) keeps its own, through
 :meth:`~repro.sim.scheduler_api.Scheduler.on_roster_change`; the simulator
 keeps it current and holds no other worker index.  The naive path keeps the
 original object-per-event machinery as the reference both semantics
@@ -1122,7 +1122,8 @@ class InferenceServerSimulator:
         if worker is None:
             raise KeyError(f"no worker with instance id {instance_id}")
         worker.slow_factor = multiplier
-        if self._worker_hook is not None:
+        # A crashed worker is off the roster: its index must not hear of it.
+        if self._worker_hook is not None and instance_id not in self._crashed:
             self._worker_hook(worker)
 
     def emit_event(self, event: SimEvent) -> None:

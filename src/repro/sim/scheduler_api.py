@@ -20,11 +20,13 @@ A policy may also keep a per-run *index* over the workers
 (:meth:`Scheduler.on_roster_change`).  The fast-path simulator asks for one
 whenever its live worker set changes, passes it back to every decision as
 :attr:`SchedulingContext.index`, and calls the index's ``worker_changed``
-after every mutation of a worker's queue, in-flight query or slowdown, so
-the index never has to rescan the workers.  This is the only worker index
-the simulator holds: ELSA keeps its ``(architecture, size)`` groups there
-and FIFS its idle workers.  The naive path never builds an index; policies
-must decide identically without one.
+after every mutation of a roster worker's queue, in-flight query or
+slowdown, so the index never has to rescan the workers.  It is only ever
+called for workers of the roster the index was built from (a crashed
+worker's slowdown is not reported).  This is the only worker index the
+simulator holds; ELSA keeps its ``(architecture, size)`` groups there.  The
+naive path never builds an index; policies must decide identically without
+one.
 
 Concrete policies live in :mod:`repro.core.schedulers` (FIFS and other
 baselines) and :mod:`repro.core.elsa`.

@@ -107,7 +107,7 @@ def test_every_arrival_completes_or_fails_exactly_once(schedule, policy, seed):
     assert completed + failed == stats.total_queries
 
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=20, deadline=None)
 @given(
     config=server_configs(),
     schedule=fault_schedules(),

@@ -5,7 +5,8 @@ import weakref
 
 import pytest
 
-from repro.core.schedulers import FifsScheduler, LeastLoadedScheduler, _IdleSet
+from repro.core.elsa import ElsaScheduler, _GroupIndex
+from repro.core.schedulers import FifsScheduler, LeastLoadedScheduler
 from repro.faults import RetryPolicy
 from repro.sim.cluster import InferenceServerSimulator
 from tests.sim.helpers import MODEL, constant_profile, linear_profile, make_instances, make_trace
@@ -188,19 +189,28 @@ class TestFastPathBookkeeping:
         assert result.statistics.utilization.mean == pytest.approx(1.0)
 
 
-class _WeakIdleSet(_IdleSet):
-    """FIFS's idle set, made weak-referenceable (no ``__slots__``)."""
+class _WeakGroupIndex(_GroupIndex):
+    """ELSA's index, made weak-referenceable (no ``__slots__``), that also
+    records the id of every worker the simulator reports to it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.reported = []
+
+    def worker_changed(self, worker):
+        self.reported.append(worker.instance_id)
+        super().worker_changed(worker)
 
 
-class _TrackingFifs(FifsScheduler):
-    """FIFS that keeps a weak reference to every index it hands out."""
+class _TrackingElsa(ElsaScheduler):
+    """ELSA that keeps a weak reference to every index it hands out."""
 
     def __init__(self):
-        super().__init__()
+        super().__init__(constant_profile({1: 2.0, 7: 1.0}))
         self.indexes = []
 
     def on_roster_change(self, workers):
-        index = _WeakIdleSet(workers)
+        index = _WeakGroupIndex(self, workers, heaped=True)
         self.indexes.append(weakref.ref(index))
         return index
 
@@ -212,28 +222,31 @@ def signature(result):
     ]
 
 
+def crash_and_slow_worker_0(scheduler, fast_path=True):
+    """Run 20 queries on (1, 1, 7) with worker 0 crashed at t=1 and then
+    given a slowdown; return the open simulator and the crash time."""
+    simulator = make_simulator(
+        sizes=(1, 1, 7), scheduler=scheduler, fast_path=fast_path
+    )
+    simulator.begin()
+    simulator.submit_trace(make_trace([(0.25 * t, 1) for t in range(20)]))
+    simulator.run_until(1.0)
+    crashed_at = simulator.now
+    simulator.crash_worker(0, RetryPolicy())
+    simulator.set_worker_slowdown(0, 2.0)
+    return simulator, crashed_at
+
+
 class TestSchedulerIndex:
     @pytest.mark.parametrize("preference", ["round_robin", "smallest", "largest", "random"])
-    def test_fifs_keeps_crashed_worker_out_of_idle_set(self, preference):
-        """A crashed worker is idle, and ``set_worker_slowdown`` still
-        reports it to the index; FIFS must not dispatch to it again."""
-        trace = make_trace([(0.25 * t, 1) for t in range(20)])
-
-        def replay(fast_path):
-            simulator = make_simulator(
-                sizes=(1, 1, 7),
-                scheduler=FifsScheduler(preference),
-                fast_path=fast_path,
-            )
-            simulator.begin()
-            simulator.submit_trace(trace.fresh_copy())
-            simulator.run_until(1.0)
-            crashed_at = simulator.now
-            simulator.crash_worker(0, RetryPolicy())
-            simulator.set_worker_slowdown(0, 2.0)
-            return simulator.finish(), crashed_at
-
-        (fast, crashed_at), (naive, _) = replay(True), replay(False)
+    def test_fifs_never_dispatches_to_crashed_worker(self, preference):
+        """A crashed worker is idle and can still be given a slowdown; FIFS
+        must not dispatch to it again, on either path."""
+        fast_sim, crashed_at = crash_and_slow_worker_0(FifsScheduler(preference))
+        naive_sim, _ = crash_and_slow_worker_0(
+            FifsScheduler(preference), fast_path=False
+        )
+        fast, naive = fast_sim.finish(), naive_sim.finish()
         assert signature(fast) == signature(naive)
         assert not [
             q
@@ -241,14 +254,20 @@ class TestSchedulerIndex:
             if q.instance_id == 0 and q.dispatch_time >= crashed_at
         ]
 
+    def test_crashed_worker_slowdown_not_reported_to_index(self):
+        """``worker_changed`` only ever hears of the index's own roster."""
+        scheduler = _TrackingElsa()
+        simulator, _ = crash_and_slow_worker_0(scheduler)
+        index = scheduler.indexes[-1]()  # built when worker 0 crashed
+        assert 0 not in index.reported
+        simulator.set_worker_slowdown(1, 2.0)
+        assert index.reported[-1] == 1
+        simulator.finish()
+
     @pytest.mark.parametrize("close", ["finish", "abort"])
     def test_roster_index_released_when_run_closes(self, close):
-        scheduler = _TrackingFifs()
-        simulator = make_simulator(sizes=(1, 1, 7), scheduler=scheduler)
-        simulator.begin()
-        simulator.submit_trace(make_trace([(0.25 * t, 1) for t in range(20)]))
-        simulator.run_until(1.0)
-        simulator.crash_worker(0, RetryPolicy())
+        scheduler = _TrackingElsa()
+        simulator, _ = crash_and_slow_worker_0(scheduler)
         simulator.restore_worker(0)
         getattr(simulator, close)()
         gc.collect()
