@@ -49,7 +49,11 @@ SWEEP_QUERIES = 2500
 SWEEP_JOBS = 2
 SWEEP_ROUNDS = 3
 SMOKE_SWEEP_POINTS = 2
-SMOKE_SWEEP_QUERIES = 800
+#: Per-point work at or above the runner's ``min_fork_work`` (1000 queries),
+#: so on multi-core machines the smoke sweep really fans out: below it no
+#: pool spawns and the warm-vs-serial ratio compares two identical inline
+#: loops.
+SMOKE_SWEEP_QUERIES = 2500
 #: On a single core the runner's auto-fallback makes the "warm" sweep run
 #: the very same inline loop as the serial sweep, so it may only trail by
 #: measurement noise — never by a real margin.
@@ -170,7 +174,12 @@ def _sweep_gate(deployment, workload, rates, n_jobs):
             break
     speedup, measured = best
     if cpu_count >= 2:
-        # with real cores available the warm fan-out must pay for itself
+        # with real cores available the sweep must fan out, and the warm
+        # fan-out must pay for itself
+        assert measured["spawned"], (
+            f"no worker pool spawned for {len(rates)} points of "
+            f"{workload.num_queries} queries on {cpu_count} cores"
+        )
         assert speedup > 1.0, (
             f"warm parallel sweep ({measured['warm_s']:.2f}s) did not beat "
             f"the serial sweep ({measured['serial_s']:.2f}s) on "
@@ -258,9 +267,9 @@ def test_replay_speedup_smoke(settings):
     trace = QueryGenerator(workload).generate()
     speedup, fast_s, naive_s, events = _run_gate(deployment, trace, SMOKE_MIN_SPEEDUP)
 
-    # The warm-pool never-lose-to-serial gate, smoke-sized.  CI runs this on
-    # a 1-core box, which is exactly the configuration that regressed: the
-    # single-core fallback must keep the warm path within noise of serial.
+    # The warm-pool gate, smoke-sized: with two or more cores the pool must
+    # spawn and beat the serial sweep; on one core the serial fallback must
+    # keep the warm path within noise of serial.
     sweep_workload = WorkloadConfig(
         model="mobilenet",
         rate_qps=1.0,

@@ -30,25 +30,37 @@ Both surfaces publish typed lifecycle events (:mod:`repro.sim.hooks`) to any
 registered observers; with no observers attached the event layer is skipped
 entirely, so the one-shot replay loop costs the same as before it existed.
 
-With ``fast_path=True`` (the default) the replay loop is columnar: events
-live in a tuple-keyed heap (:class:`~repro.sim.engine.TupleEventQueue` — no
-:class:`~repro.sim.events.Event` objects, C-level comparisons), per-query
-runtime state lives in a struct-of-arrays store
-(:class:`~repro.sim.columnar.QueryColumns`) that statistics digestion reads
-zero-copy, and one reused :class:`~repro.sim.scheduler_api.SchedulingContext`
-replaces the per-event snapshot copies.  A policy that needs an index over
-the workers (ELSA's size groups) keeps its own, through
-:meth:`~repro.sim.scheduler_api.Scheduler.on_roster_change`; the simulator
-keeps it current and holds no other worker index.  The naive path keeps the
-original object-per-event machinery as the reference both semantics
-(bit-identical results, pinned by the identity property tests) and timing
-(the replay-speed benchmark) are measured against.
+Both replay paths run one set of event handlers: :meth:`~InferenceServerSimulator._arrive`
+(announce dedupe, reconfiguration hold, serial frontend, dispatch or park in
+the central queue) and :meth:`~InferenceServerSimulator._complete` (hooks,
+drain check, start-next, central-queue pull, ``WorkerIdle``).  ``fast_path``
+(the default) changes only the five data structures under them:
+
+* the event queue: a tuple-keyed heap
+  (:class:`~repro.sim.engine.TupleEventQueue`, C-level comparisons) instead
+  of :class:`~repro.sim.events.Event` objects;
+* per-query runtime state: a struct-of-arrays store
+  (:class:`~repro.sim.columnar.QueryColumns`) that statistics digestion reads
+  zero-copy, instead of :class:`~repro.workload.query.Query` attributes;
+* the latency oracle: a memoized :class:`~repro.perf.lookup.CachedEstimator`
+  plus each worker's queued-work cache, instead of uncached table lookups;
+* the scheduling context: one reused
+  :class:`~repro.sim.scheduler_api.SchedulingContext` instead of a fresh
+  snapshot per scheduling moment;
+* the scheduler index: a policy that keeps one (ELSA's size groups) builds it
+  through :meth:`~repro.sim.scheduler_api.Scheduler.on_roster_change`, and the
+  simulator keeps it current; the naive path has none.
+
+The naive path is the reference both semantics (bit-identical results,
+pinned by the identity property tests) and timing (the replay-speed
+benchmark) are measured against.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import heapq
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from typing import (
@@ -68,9 +80,9 @@ import numpy as np
 
 from repro.gpu.partition import PartitionInstance
 from repro.perf.lookup import CachedEstimator, ProfileTable
-from repro.sim.columnar import NAN, QueryColumns
+from repro.sim.columnar import QueryColumns
 from repro.sim.engine import EventQueue, SimulationClock, TupleEventQueue
-from repro.sim.events import Event, EventKind
+from repro.sim.events import EventKind
 from repro.sim.hooks import (
     QueryArrived,
     QueryCompleted,
@@ -99,11 +111,11 @@ from repro.sim.worker import LatencyFn, PartitionWorker
 from repro.workload.query import Query
 from repro.workload.trace import QueryTrace
 
-#: EventKind values as plain ints: the fast loop compares heap-entry kinds
-#: against these without touching the enum machinery.
-_ARRIVAL = int(EventKind.ARRIVAL)
-_COMPLETION = int(EventKind.COMPLETION)
-_RECONFIG = int(EventKind.RECONFIG)
+#: EventKind members as module constants: a global load is a few
+#: nanoseconds, an attribute read through the enum metaclass about 20x that.
+#: Both queues accept them, and heap-entry ints compare equal to them.
+_ARRIVAL = EventKind.ARRIVAL
+_COMPLETION = EventKind.COMPLETION
 
 
 class RetryPolicyLike(Protocol):
@@ -298,33 +310,42 @@ class InferenceServerSimulator:
     # ------------------------------------------------------------------ #
     # construction helpers
     # ------------------------------------------------------------------ #
-    def _worker_latency_fn(self, instance: PartitionInstance) -> LatencyFn:
-        """The execution oracle for a worker on ``instance`` (per-architecture
-        on mixed fleets, the shared oracle otherwise)."""
+    def _new_worker(self, instance: PartitionInstance, seed: int) -> PartitionWorker:
+        """A worker on ``instance``, wired to this path's latency oracle
+        (per-architecture on mixed fleets) and runtime-state store."""
+        latency_fn: LatencyFn = self._latency_fn
         if self._arch_estimators is not None:
-            return self._arch_estimators[instance.partition.architecture.name]
-        return self._latency_fn
+            latency_fn = self._arch_estimators[instance.partition.architecture.name]
+        return PartitionWorker(
+            instance=instance,
+            latency_fn=latency_fn,
+            noise_std=self._noise,
+            seed=seed,
+            queued_work_cache=self._fast,
+            columns=self._columns,
+            write_through=self._write_through,
+        )
 
     def _build_workers(self) -> None:
         self.workers = [
-            PartitionWorker(
-                instance=instance,
-                latency_fn=self._worker_latency_fn(instance),
-                noise_std=self._noise,
-                seed=self._seed + idx,
-                queued_work_cache=self._fast,
-                columns=self._columns,
-                write_through=self._write_through,
-            )
+            self._new_worker(instance, self._seed + idx)
             for idx, instance in enumerate(self._instances)
         ]
         self._workers_by_id = {w.instance_id: w for w in self.workers}
 
     def _reset_run_state(self) -> None:
         self._clock = SimulationClock()
-        self._events: Union[EventQueue, TupleEventQueue] = (
-            TupleEventQueue() if self._fast else EventQueue()
-        )
+        # The event queue and where the arrival-announce flags live (indexed
+        # by submission order).  Completion events carry the worker's
+        # instance id on both queues.
+        self._events: Union[EventQueue, TupleEventQueue]
+        self._announced: array[int]
+        if self._columns is not None:
+            self._events = TupleEventQueue()
+            self._announced = self._columns.announced
+        else:
+            self._events = EventQueue()
+            self._announced = array("b")
         self._central_queue: Deque[Query] = deque()
         self._events_processed = 0
         self._context: Optional[SchedulingContext] = None
@@ -345,7 +366,6 @@ class InferenceServerSimulator:
         self._draining_ids: Set[int] = set()
         self._held: List[Query] = []
         self._staged: Optional[_StagedReconfig] = None
-        self._announced: Set[int] = set()
         self._reconfig_log: List[ReconfigurationRecord] = []
         self._next_instance_id = 1 + max(i.instance_id for i in self._instances)
         # Fault-injection state: crashed workers by instance id (insertion =
@@ -373,8 +393,7 @@ class InferenceServerSimulator:
         delivered: List[SimulationObserver] = []
         for observer in self._observers:
             if (
-                self._fast
-                and self._columns is not None
+                self._columns is not None
                 and getattr(observer, "columnar_capable", False)
                 and observer.attach_columns(self._columns, self)
             ):
@@ -410,14 +429,15 @@ class InferenceServerSimulator:
         """Attach a lifecycle-event observer."""
         self._observers.append(observer)
         self._rebind_handlers()
-        if self._fast and self._write_through:
+        columns = self._columns
+        if columns is not None and self._write_through:
             staged = self._staged.new_workers if self._staged is not None else ()
-            for worker in (*self.workers, *self._retired_workers, *staged):
+            for worker in (*self._all_workers(), *staged):
                 worker.enable_write_through()
             # queries already dispatched before write-through turned on have
             # runtime state only in the columns; materialise it so the new
             # handlers read current timestamps, exactly like the naive path
-            self._columns.write_back()
+            columns.write_back()
 
     def _reindex(self) -> None:
         """The live roster changed: ask the scheduler for a fresh index."""
@@ -425,27 +445,27 @@ class InferenceServerSimulator:
         index = hook(self.workers) if hook is not None else None
         self._index = index
         self._worker_hook = index.worker_changed if index is not None else None
-        self._context = None  # the next fast context carries the new index
+        self._context = None  # the next reused context carries the new index
 
-    def _make_context(self, now: float) -> SchedulingContext:
-        """Naive-path context: fresh snapshot copies per scheduling moment."""
-        return SchedulingContext(
-            now=now,
-            workers=self.workers,
-            central_queue=tuple(self._central_queue),
-            estimator=self._latency_fn,
-            estimators=self._arch_estimators,
-        )
+    def _context_for(self, now: float) -> SchedulingContext:
+        """The scheduling context at ``now``.
 
-    def _fast_context(self, now: float) -> SchedulingContext:
-        """Fast-path context: one reused object over live (read-only) views.
-
-        The central queue is the simulator's own deque — documented
-        read-only for schedulers — and only ``now`` changes between
-        scheduling moments, so the frozen dataclass is rebuilt only when the
-        worker list itself is swapped (a live reconfiguration) or the roster
-        changed (:meth:`_reindex`).
+        The naive path builds a fresh snapshot (copied central queue) per
+        scheduling moment.  The fast path reuses one object over live
+        (read-only) views: the central queue is the simulator's own deque —
+        documented read-only for schedulers — and only ``now`` changes
+        between scheduling moments, so the frozen dataclass is rebuilt only
+        when the worker list itself is swapped (a live reconfiguration) or
+        the roster changed (:meth:`_reindex`).
         """
+        if not self._fast:
+            return SchedulingContext(
+                now=now,
+                workers=self.workers,
+                central_queue=tuple(self._central_queue),
+                estimator=self._latency_fn,
+                estimators=self._arch_estimators,
+            )
         context = self._context
         if context is None or context.workers is not self.workers:
             context = self._context = SchedulingContext(
@@ -459,11 +479,6 @@ class InferenceServerSimulator:
         else:
             object.__setattr__(context, "now", now)
         return context
-
-    def _handlers(self, event_type: type) -> Tuple:
-        """Bound handlers subscribed to ``event_type`` (empty tuple = skip
-        constructing the event at all)."""
-        return self._dispatch_table.get(event_type, ())
 
     def estimate_latency(self, model: str, batch: int, gpcs: int) -> float:
         """Profiled execution latency of (model, batch) on ``GPU(gpcs)``.
@@ -547,17 +562,6 @@ class InferenceServerSimulator:
             raise RuntimeError("no reconfiguration is in progress")
         return tuple(worker.instance for worker in self._staged.new_workers)
 
-    @property
-    def submitted_queries(self) -> Sequence[Query]:
-        """Every query submitted to the open (or just-finished) run.
-
-        On the fast path the columnar runtime state is materialised onto the
-        query objects first, so callers always see current timestamps.
-        """
-        if self._fast:
-            self._columns.write_back()
-        return tuple(self._submitted)
-
     def begin(self) -> None:
         """Open a streaming run: fresh clock, queues, workers and scheduler.
 
@@ -575,7 +579,7 @@ class InferenceServerSimulator:
         self._reset_run_state()
         if self._fast:
             self._roster_hook = self.scheduler.on_roster_change
-            self._reindex()
+        self._reindex()
         self._active = True
 
     def submit(self, query: Query) -> None:
@@ -588,10 +592,13 @@ class InferenceServerSimulator:
                 f"query {query.query_id} arrives at {query.arrival_time}, "
                 f"before the current simulation time {self._clock.now}"
             )
-        self._submitted.append(query)
-        if self._fast:
+        if self._columns is not None:
             self._columns.add(query)
-        self._events.push(query.arrival_time, EventKind.ARRIVAL, query)
+        else:
+            query.index = len(self._submitted)
+            self._announced.append(0)
+        self._submitted.append(query)
+        self._events.push(query.arrival_time, _ARRIVAL, query)
 
     def submit_trace(self, trace: QueryTrace) -> None:
         """Inject every query of ``trace`` (not copied — pass a fresh copy).
@@ -643,12 +650,7 @@ class InferenceServerSimulator:
             raise RuntimeError("run_until() requires an open run; call begin() first")
         if self._fast:
             return self._run_fast(time)
-        events = self._events
-        while events:
-            if time is not None and events.peek().time > time:
-                break
-            self._process(events.pop())
-        return self._clock.now
+        return self._run_naive(time)
 
     def finish(self, offered_load_qps: Optional[float] = None) -> SimulationResult:
         """Drain every remaining event and close the run.
@@ -688,33 +690,13 @@ class InferenceServerSimulator:
         self._reindex()
         if offered_load_qps is None:
             offered_load_qps = self._observed_arrival_rate()
-        makespan = self._clock.now
-        all_workers = (
-            self._retired_workers + list(self._crashed.values()) + self.workers
-        )
-        if self._fast:
+        if self._columns is not None:
             self._columns.write_back()
-            statistics = compute_statistics_from_arrays(
-                completed_arrays_from_columns(self._columns),
-                all_workers,
-                makespan,
-                total_queries=len(self._submitted),
-                offered_load_qps=offered_load_qps,
-                failed=len(self._failed),
-            )
-        else:
-            statistics = compute_statistics(
-                self._submitted,
-                all_workers,
-                makespan,
-                offered_load_qps=offered_load_qps,
-                failed=len(self._failed),
-            )
         per_instance = {
-            worker.instance_id: len(worker.completed) for worker in all_workers
+            worker.instance_id: len(worker.completed) for worker in self._all_workers()
         }
         return SimulationResult(
-            statistics=statistics,
+            statistics=self._digest(offered_load_qps),
             queries=list(self._submitted),
             per_instance_queries=per_instance,
             scheduler_name=self.scheduler.name,
@@ -728,46 +710,51 @@ class InferenceServerSimulator:
         metrics mid-run.  On the fast path the digestion reads the columnar
         store directly — no object materialisation, no Python re-scan.
         """
-        makespan = self._clock.now
-        all_workers = (
-            self._retired_workers + list(self._crashed.values()) + self.workers
-        )
-        if self._fast:
+        return self._digest(self._observed_arrival_rate())
+
+    def _all_workers(self) -> List[PartitionWorker]:
+        """Every worker of the run: retired, crashed, then live."""
+        return self._retired_workers + list(self._crashed.values()) + self.workers
+
+    def _digest(self, offered_load_qps: float) -> ServerStatistics:
+        """Statistics of the run at the current simulation time: read from
+        the columns, or scanned from the query objects on the naive path.
+
+        Both digest functions are looked up in this module's namespace at
+        call time, so a profiler that wraps them sees every digestion.
+        """
+        columns = self._columns
+        if columns is not None:
             return compute_statistics_from_arrays(
-                completed_arrays_from_columns(self._columns),
-                all_workers,
-                makespan,
+                completed_arrays_from_columns(columns),
+                self._all_workers(),
+                self._clock.now,
                 total_queries=len(self._submitted),
-                offered_load_qps=self._observed_arrival_rate(),
+                offered_load_qps=offered_load_qps,
                 failed=len(self._failed),
             )
         return compute_statistics(
             self._submitted,
-            all_workers,
-            makespan,
-            offered_load_qps=self._observed_arrival_rate(),
+            self._all_workers(),
+            self._clock.now,
+            offered_load_qps=offered_load_qps,
             failed=len(self._failed),
         )
 
     def _observed_arrival_rate(self) -> float:
         # submit() only forbids arrivals in the simulation's past, so the
         # submission order need not be arrival order — span over min/max.
-        if self._fast:
-            arrivals = np.frombuffer(self._columns.arrival, dtype=np.float64)
-            if arrivals.size < 2:
-                return 0.0
-            span = float(arrivals.max()) - float(arrivals.min())
-            if span <= 0:
-                return 0.0
-            return (arrivals.size - 1) / span
-        queries = self._submitted
-        if len(queries) < 2:
+        columns = self._columns
+        if columns is not None:
+            arrivals = np.frombuffer(columns.arrival, dtype=np.float64)
+        else:
+            arrivals = np.array([query.arrival_time for query in self._submitted])
+        if arrivals.size < 2:
             return 0.0
-        times = [query.arrival_time for query in queries]
-        span = max(times) - min(times)
+        span = float(arrivals.max()) - float(arrivals.min())
         if span <= 0:
             return 0.0
-        return (len(queries) - 1) / span
+        return (arrivals.size - 1) / span
 
     # ------------------------------------------------------------------ #
     # live reconfiguration
@@ -832,9 +819,9 @@ class InferenceServerSimulator:
                         handler(recovered)
             self._crashed.clear()
 
-        # Pull back every query that has not started executing.
+        # Pull back every query that has not started executing (draining a
+        # worker's queue clears the queries' dispatch state).
         requeue_handlers = self._h_requeued
-        materialise_objects = not self._fast or self._write_through
         requeued: List[Query] = []
         for query in self._central_queue:
             for handler in requeue_handlers:
@@ -844,11 +831,6 @@ class InferenceServerSimulator:
         drain_deadline = now
         for worker in self.workers:
             for query in worker.drain_queue():
-                if self._fast:
-                    self._columns.clear_dispatch(query.index)
-                if materialise_objects:
-                    query.dispatch_time = None
-                    query.instance_id = None
                 for handler in requeue_handlers:
                     handler(QueryRequeued(now, query, worker.instance_id))
                 requeued.append(query)
@@ -870,15 +852,7 @@ class InferenceServerSimulator:
             )
             self._next_instance_id += 1
         new_workers = [
-            PartitionWorker(
-                instance=instance,
-                latency_fn=self._worker_latency_fn(instance),
-                noise_std=self._noise,
-                seed=self._seed + instance.instance_id,
-                queued_work_cache=self._fast,
-                columns=self._columns,
-                write_through=self._write_through,
-            )
+            self._new_worker(instance, self._seed + instance.instance_id)
             for instance in renumbered
         ]
 
@@ -942,7 +916,7 @@ class InferenceServerSimulator:
         gap = self._frontend_gap
         start = max(now, self._frontend_available) if gap > 0 else now
         for position, query in enumerate(backlog):
-            self._events.push(start + position * gap, EventKind.ARRIVAL, query)
+            self._events.push(start + position * gap, _ARRIVAL, query)
 
     # ------------------------------------------------------------------ #
     # fault injection (worker crashes, stragglers)
@@ -995,7 +969,7 @@ class InferenceServerSimulator:
         if len(self.workers) <= 1:
             raise RuntimeError("cannot crash the last live worker")
         now = self._clock.now
-        self.workers.remove(worker)  # in place: the fast context view stays live
+        self.workers.remove(worker)  # in place: the reused context view stays live
         self._crashed[instance_id] = worker
         self._reindex()
         worker.retired_at = now
@@ -1005,37 +979,24 @@ class InferenceServerSimulator:
             for handler in handlers:
                 handler(crashed)
 
+        # Aborting and draining clear the displaced queries' dispatch and
+        # start state in whichever store the worker writes.
         displaced: List[Query] = []
         in_flight_finish = worker.current_finish_time
-        if in_flight_finish is not None:
-            aborted = worker.abort_current(now)
+        aborted = worker.abort_current(now)
+        if aborted is not None and in_flight_finish is not None:
             key = (in_flight_finish, aborted.query_id, instance_id)
             self._tombstones[key] = self._tombstones.get(key, 0) + 1
             displaced.append(aborted)
         displaced.extend(worker.drain_queue())
 
-        columns = self._columns
-        materialise = not self._fast or self._write_through
         requeued = failed = 0
         for query in displaced:
-            if self._fast:
-                index = query.index
-                columns.start[index] = NAN
-                columns.clear_dispatch(index)
-                retries = int(columns.retries[index])
-            else:
-                retries = query.retries
-            if materialise:
-                query.dispatch_time = None
-                query.start_time = None
-                query.instance_id = None
+            # retry counts live on the query object on both paths
+            retries = query.retries
             if retries >= retry_policy.max_retries:
                 failed += 1
-                if self._fast:
-                    columns.fail_time[query.index] = now
-                if materialise:
-                    query.fail_time = now
-                self._failed.append(query)
+                self._record_failure(query, now)
                 fail_handlers = self._h_failed
                 if fail_handlers:
                     failed_event = QueryFailed(now, query, instance_id, retries)
@@ -1043,10 +1004,7 @@ class InferenceServerSimulator:
                         handler(failed_event)
                 continue
             attempt = retries + 1
-            if self._fast:
-                columns.retries[query.index] = attempt
-            if materialise:
-                query.retries = attempt
+            query.retries = attempt
             requeued += 1
             requeue_handlers = self._h_requeued
             if requeue_handlers:
@@ -1056,8 +1014,17 @@ class InferenceServerSimulator:
             # Re-enters through the frontend as a regular arrival: the
             # arrival-announce flag is already raised, so observers still
             # see the query arrive exactly once.
-            self._events.push(now + retry_policy.delay(attempt), EventKind.ARRIVAL, query)
+            self._events.push(now + retry_policy.delay(attempt), _ARRIVAL, query)
         return requeued, failed
+
+    def _record_failure(self, query: Query, now: float) -> None:
+        """``query`` exhausted its retry budget at ``now``.  The fail time is
+        written to the query object on both paths (this is its only writer)
+        and to the fail-time column the lazy windowed metrics read."""
+        query.fail_time = now
+        if self._columns is not None:
+            self._columns.fail_time[query.index] = now
+        self._failed.append(query)
 
     def restore_worker(self, instance_id: int) -> None:
         """Bring a crashed worker back online at the current simulation time.
@@ -1091,15 +1058,7 @@ class InferenceServerSimulator:
         # Offer the recovered worker backlog from the central queue, exactly
         # like the post-completion idle path.
         if self._central_queue:
-            context = self._fast_context(now) if self._fast else self._make_context(now)
-            pulled = self.scheduler.on_worker_idle(worker, context)
-            if pulled is not None:
-                queue = self._central_queue
-                if queue[0] is pulled:
-                    queue.popleft()
-                else:
-                    queue.remove(pulled)
-                self._dispatch(worker, pulled, now)
+            self._pull_central(worker, now)
 
     def set_worker_slowdown(self, instance_id: int, multiplier: float) -> None:
         """Scale a worker's service times by ``multiplier`` (straggler).
@@ -1137,25 +1096,24 @@ class InferenceServerSimulator:
             handler(event)
 
     # ------------------------------------------------------------------ #
-    # the fast (columnar) replay loop
+    # the two replay loops: one per event-queue representation
     # ------------------------------------------------------------------ #
     def _run_fast(self, until: Optional[float]) -> float:
-        """Drain the tuple-keyed heap up to ``until`` with the hot logic inline.
+        """Drain the tuple-keyed heap up to ``until``.
 
-        Heap entries are ``(time, kind, seq, query, worker)`` tuples; the
-        loop unpacks them directly — no Event objects, no per-event method
-        dispatch, one clock write per event.  The heap's total order makes
-        popped times non-decreasing, so the clock can be assigned without
-        the monotonicity guard (push sites validate against the clock).
+        Heap entries are ``(time, kind, seq, query, instance_id)`` tuples;
+        the loop unpacks them directly — no Event objects, one clock write
+        per event.  The heap's total order makes popped times
+        non-decreasing, so the clock can be assigned without the
+        monotonicity guard (push sites validate against the clock).
         """
         events = self._events
+        assert isinstance(events, TupleEventQueue)
         heap = events._heap
         heappop = heapq.heappop
         clock = self._clock
-        scheduler = self.scheduler
-        central = self._central_queue
-        gap = self._frontend_gap
-        announced = self._columns.announced
+        arrive = self._arrive
+        complete = self._complete
         tombstones = self._tombstones
         processed = self._events_processed
         now = clock.now
@@ -1171,60 +1129,89 @@ class InferenceServerSimulator:
                 clock._now = now
                 kind = entry[1]
                 if kind == _ARRIVAL:
-                    query = entry[3]
-                    index = query.index
-                    if not announced[index]:
-                        # First firing of this query's arrival event: the
-                        # flag is both the QueryArrived dedupe (frontend
-                        # retries and reconfig buffering re-enqueue the
-                        # query) and the columnar "this arrival happened"
-                        # marker the lazy metrics digestion filters on.
-                        announced[index] = 1
-                        handlers = self._h_arrived
-                        if handlers:
-                            arrived = QueryArrived(now, query)
-                            for handler in handlers:
-                                handler(arrived)
-                    if self._staged is not None:
-                        # Draining/reconfiguring: buffer at the frontend.
-                        self._held.append(query)
-                        continue
-                    if gap > 0.0:
-                        # The frontend dispatches queries serially; an
-                        # arrival that finds it busy retries when it frees.
-                        available = self._frontend_available
-                        if available > now + 1e-15:
-                            events.push(available, _ARRIVAL, query)
-                            continue
-                        self._frontend_available = now + gap
-                    worker = scheduler.on_arrival(query, self._fast_context(now))
-                    if worker is None:
-                        central.append(query)
-                    else:
-                        self._dispatch(worker, query, now)
+                    arrive(entry[3], now)
                 elif kind == _COMPLETION:
-                    if tombstones:
-                        # A crash aborted this completion's query; the event
-                        # is stale.  Fault-free runs never populate the dict,
-                        # so the hot path pays one truthiness check.
-                        key = (now, entry[3].query_id, entry[4].instance_id)
-                        count = tombstones.get(key)
-                        if count:
-                            if count == 1:
-                                del tombstones[key]
-                            else:
-                                tombstones[key] = count - 1
-                            continue
-                    self._complete_fast(entry[4], now)
+                    instance_id = entry[4]
+                    if tombstones and self._tombstoned(
+                        now, entry[3].query_id, instance_id
+                    ):
+                        continue
+                    complete(self._workers_by_id[instance_id], now)
                 else:
                     self._complete_reconfigure(now)
         finally:
             self._events_processed = processed
         return now
 
-    def _complete_fast(self, worker: PartitionWorker, now: float) -> None:
-        """Completion handling for the fast loop (worker comes straight off
-        the heap entry — no id -> worker map lookup)."""
+    def _run_naive(self, until: Optional[float]) -> float:
+        """Drain the reference :class:`~repro.sim.events.Event` queue up to
+        ``until`` through the same handlers as :meth:`_run_fast`."""
+        events = self._events
+        assert isinstance(events, EventQueue)
+        clock = self._clock
+        while events:
+            if until is not None and events.peek().time > until:
+                break
+            event = events.pop()
+            clock.advance_to(event.time)
+            self._events_processed += 1
+            now = clock.now
+            kind = event.kind
+            if kind is _ARRIVAL:
+                self._arrive(event.query, now)
+            elif kind is _COMPLETION:
+                if self._tombstones and self._tombstoned(
+                    event.time, event.query.query_id, event.instance_id
+                ):
+                    continue
+                self._complete(self._workers_by_id[event.instance_id], now)
+            else:
+                self._complete_reconfigure(now)
+        return clock.now
+
+    # ------------------------------------------------------------------ #
+    # event handlers (both paths)
+    # ------------------------------------------------------------------ #
+    def _arrive(self, query: Query, now: float) -> None:
+        """An arrival event fired: announce, hold, bounce or schedule it."""
+        index = query.index
+        announced = self._announced
+        if not announced[index]:
+            # First firing of this query's arrival event.  Frontend bounces,
+            # reconfiguration buffering and crash retries re-enqueue the
+            # query, so the flag is the QueryArrived dedupe — raised whether
+            # or not anyone listens, so an observer attached later never
+            # hears an arrival that already fired — and, on the fast path,
+            # the "this arrival happened" marker the lazy metrics digestion
+            # filters on.
+            announced[index] = 1
+            handlers = self._h_arrived
+            if handlers:
+                arrived = QueryArrived(now, query)
+                for handler in handlers:
+                    handler(arrived)
+        if self._staged is not None:
+            # Draining/reconfiguring: buffer at the frontend.
+            self._held.append(query)
+            return
+        gap = self._frontend_gap
+        if gap > 0.0:
+            # The frontend dispatches queries serially; an arrival that
+            # finds it busy retries when it frees.
+            available = self._frontend_available
+            if available > now + 1e-15:
+                self._events.push(available, _ARRIVAL, query)
+                return
+            self._frontend_available = now + gap
+        worker = self.scheduler.on_arrival(query, self._context_for(now))
+        if worker is None:
+            self._central_queue.append(query)
+        else:
+            self._dispatch(worker, query, now)
+
+    def _complete(self, worker: PartitionWorker, now: float) -> None:
+        """``worker``'s in-flight query finished: start its next local query,
+        else offer it the central queue, else report it idle."""
         query = worker.complete_current(now)
         handlers = self._h_completed
         if handlers:
@@ -1242,135 +1229,50 @@ class InferenceServerSimulator:
             # already requeued, so finishing the in-flight query empties it.
             return
 
-        # Start the next locally queued query, if any.
         finish = worker.start_next(now)
         if self._worker_hook is not None:
             self._worker_hook(worker)
         if finish is not None:
-            self._events.push(finish, _COMPLETION, worker.current_query, worker)
+            self._events.push(finish, _COMPLETION, worker.current_query, worker.instance_id)
             return
-
-        # Otherwise offer the idle worker a query from the central queue.
-        if self._central_queue:
-            pulled = self.scheduler.on_worker_idle(worker, self._fast_context(now))
-            if pulled is not None:
-                queue = self._central_queue
-                if queue[0] is pulled:
-                    # FIFO drain is the overwhelmingly common case; popping
-                    # the head avoids an O(queue) scan-and-remove.
-                    queue.popleft()
-                else:
-                    queue.remove(pulled)
-                self._dispatch(worker, pulled, now)
-                return
+        if self._central_queue and self._pull_central(worker, now):
+            return
         handlers = self._h_idle
         if handlers:
             idle = WorkerIdle(now, worker.instance_id)
             for handler in handlers:
                 handler(idle)
 
-    # ------------------------------------------------------------------ #
-    # naive-path event handlers (the reference semantics)
-    # ------------------------------------------------------------------ #
-    def _process(self, event: Event) -> None:
-        self._clock.advance_to(event.time)
-        self._events_processed += 1
-        now = self._clock.now
-        kind = event.kind
-        if kind is EventKind.ARRIVAL:
-            arrival_handlers = self._h_arrived
-            if arrival_handlers:
-                key = id(event.query)
-                if key not in self._announced:
-                    self._announced.add(key)
-                    arrived = QueryArrived(now, event.query)
-                    for handler in arrival_handlers:
-                        handler(arrived)
-            if self._staged is not None:
-                # The server is draining/reconfiguring: buffer at the frontend.
-                self._held.append(event.query)
-                return
-            if self._frontend_gap > 0:
-                # The frontend dispatches queries serially; an arrival that
-                # finds it busy is retried when it becomes free.
-                if self._frontend_available > now + 1e-15:
-                    self._events.push(
-                        self._frontend_available, EventKind.ARRIVAL, event.query
-                    )
-                    return
-                self._frontend_available = now + self._frontend_gap
-            self._handle_arrival(event.query, self._make_context(now), now)
-        elif kind is EventKind.COMPLETION:
-            self._handle_completion(event, now)
-        else:
-            self._complete_reconfigure(now)
-
-    def _handle_arrival(
-        self,
-        query: Query,
-        context: SchedulingContext,
-        now: float,
-    ) -> None:
-        worker = self.scheduler.on_arrival(query, context)
-        if worker is None:
-            self._central_queue.append(query)
-            return
-        self._dispatch(worker, query, now)
-
-    def _handle_completion(self, event: Event, now: float) -> None:
+    def _tombstoned(self, time: float, query_id: int, instance_id: int) -> bool:
+        """Whether a crash aborted this completion's query (the event is
+        stale); consumes the tombstone.  Fault-free runs never create one,
+        so callers test the dict's truthiness first."""
         tombstones = self._tombstones
-        if tombstones:
-            # A crash aborted this completion's query mid-flight: discard.
-            key = (event.time, event.query.query_id, event.instance_id)
-            count = tombstones.get(key)
-            if count:
-                if count == 1:
-                    del tombstones[key]
-                else:
-                    tombstones[key] = count - 1
-                return
-        worker = self._workers_by_id[event.instance_id]
-        query = worker.complete_current(now)
-        completed_handlers = self._h_completed
-        if completed_handlers:
-            completed = QueryCompleted(now, query, worker.instance_id)
-            for handler in completed_handlers:
-                handler(completed)
-        violated_handlers = self._h_sla
-        if violated_handlers and query.sla_violated:
-            violated = SlaViolated(now, query, worker.instance_id)
-            for handler in violated_handlers:
-                handler(violated)
+        key = (time, query_id, instance_id)
+        count = tombstones.get(key)
+        if not count:
+            return False
+        if count == 1:
+            del tombstones[key]
+        else:
+            tombstones[key] = count - 1
+        return True
 
-        if worker.instance_id in self._draining_ids:
-            # A draining partition takes no further work; its local queue was
-            # already requeued, so finishing the in-flight query empties it.
-            return
-
-        # Start the next locally queued query, if any.
-        finish = worker.start_next(now)
-        if finish is not None:
-            self._events.push(
-                finish, EventKind.COMPLETION, worker.current_query, worker.instance_id
-            )
-            return
-
-        # Otherwise offer the idle worker a query from the central queue.
-        if self._central_queue:
-            pulled = self.scheduler.on_worker_idle(worker, self._make_context(now))
-            if pulled is not None:
-                queue = self._central_queue
-                if queue[0] is pulled:
-                    queue.popleft()
-                else:
-                    queue.remove(pulled)
-                self._dispatch(worker, pulled, now)
-                return
-        idle_handlers = self._h_idle
-        if idle_handlers:
-            idle = WorkerIdle(now, worker.instance_id)
-            for handler in idle_handlers:
-                handler(idle)
+    def _pull_central(self, worker: PartitionWorker, now: float) -> bool:
+        """Offer idle ``worker`` a query from the central queue; True when
+        the scheduler handed it one."""
+        pulled = self.scheduler.on_worker_idle(worker, self._context_for(now))
+        if pulled is None:
+            return False
+        queue = self._central_queue
+        if queue[0] is pulled:
+            # FIFO drain is the overwhelmingly common case; popping the head
+            # avoids an O(queue) scan-and-remove.
+            queue.popleft()
+        else:
+            queue.remove(pulled)
+        self._dispatch(worker, pulled, now)
+        return True
 
     def _dispatch(
         self,
@@ -1388,12 +1290,5 @@ class InferenceServerSimulator:
         if self._worker_hook is not None:
             self._worker_hook(worker)
         if finish is not None:
-            if self._fast:
-                self._events.push(finish, _COMPLETION, worker.current_query, worker)
-            else:
-                self._events.push(
-                    finish,
-                    EventKind.COMPLETION,
-                    worker.current_query,
-                    worker.instance_id,
-                )
+            self._events.push(finish, _COMPLETION, worker.current_query, worker.instance_id)
+

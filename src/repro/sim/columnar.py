@@ -21,10 +21,13 @@ When ``fast_path=True`` the simulator instead keeps that state here, as flat
   indistinguishable from a naive replay.
 
 ``NaN`` marks an unset timestamp (and a query without an SLA deadline);
-``-1`` marks an unset instance id.  The ``announced`` flags replace the
-per-run "emitted QueryArrived already?" identity set: frontend retries and
-reconfiguration buffering re-enqueue the same query as a new arrival event,
-but observers must see each query arrive exactly once.
+``-1`` marks an unset instance id.  The ``announced`` flags mark the queries
+whose arrival event has fired (the naive path keeps the same flags in a
+plain array): frontend bounces, reconfiguration buffering and crash retries
+re-enqueue the same query as a new arrival event, but observers must see
+each query arrive exactly once.  A query's crash-retry count is not a
+column: it stays on the Query object on both paths, written only when a
+worker crashes.
 """
 
 from __future__ import annotations
@@ -59,7 +62,6 @@ class QueryColumns:
         "instance",
         "announced",
         "fail_time",
-        "retries",
     )
 
     def __init__(self) -> None:
@@ -73,7 +75,6 @@ class QueryColumns:
         self.instance = array("q")
         self.announced = array("b")
         self.fail_time = array("d")
-        self.retries = array("q")
 
     def __len__(self) -> int:
         return len(self.queries)
@@ -93,13 +94,7 @@ class QueryColumns:
         self.instance.append(-1)
         self.announced.append(0)
         self.fail_time.append(NAN)
-        self.retries.append(0)
         return index
-
-    def clear_dispatch(self, index: int) -> None:
-        """Forget a query's dispatch (a reconfiguration requeued it)."""
-        self.dispatch[index] = NAN
-        self.instance[index] = -1
 
     def write_back(self) -> None:
         """Materialise the columns onto the Query objects.
@@ -113,7 +108,6 @@ class QueryColumns:
         finish = self.finish
         instance = self.instance
         fail_time = self.fail_time
-        retries = self.retries
         for index, query in enumerate(self.queries):
             value = dispatch[index]
             query.dispatch_time = value if value == value else None
@@ -125,7 +119,6 @@ class QueryColumns:
             query.instance_id = assigned if assigned >= 0 else None
             value = fail_time[index]
             query.fail_time = value if value == value else None
-            query.retries = retries[index]
 
 
 __all__ = ["NAN", "QueryColumns"]

@@ -34,8 +34,8 @@ from repro.workload.query import Query
 
 #: A fast-path heap entry: ``(time, kind, seq, query, worker)``.  ``seq`` is
 #: unique per queue, so comparisons never reach the non-comparable payload
-#: slots; completions carry the worker object directly (no id -> worker map
-#: lookup when the event fires).
+#: slots.  The simulator's completions carry the worker's instance id in the
+#: ``worker`` slot, like :attr:`Event.instance_id`.
 TupleEvent = Tuple[float, int, int, Optional[Query], Any]
 
 

@@ -15,7 +15,10 @@ objects themselves (the naive/reference representation) or in the fast path's
 columnar store (:class:`~repro.sim.columnar.QueryColumns`), in which case the
 worker writes array slots instead of object attributes and the objects are
 materialised from the columns when the run finishes (or eagerly, per query,
-when lifecycle observers need to read them mid-run).
+when lifecycle observers need to read them mid-run).  The worker also clears
+the state it wrote when a query leaves without completing
+(:meth:`PartitionWorker.drain_queue`, :meth:`PartitionWorker.abort_current`),
+so the simulator never needs to know which store is live.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Callable, Deque, List, Optional
 import numpy as np
 
 from repro.gpu.partition import PartitionInstance
-from repro.sim.columnar import QueryColumns
+from repro.sim.columnar import NAN, QueryColumns
 from repro.workload.query import Query
 
 #: Signature of the execution-latency oracle: (model, batch, gpcs) -> seconds.
@@ -298,7 +301,8 @@ class PartitionWorker:
         The partial execution still counts as busy time — the partition
         really was occupied until the crash — but the query's completion
         never happens; the caller requeues or fails it and discards the
-        already-scheduled completion event.
+        already-scheduled completion event.  The query's dispatch and start
+        state is cleared.
 
         Returns:
             The aborted query, or ``None`` when nothing was executing.
@@ -309,19 +313,37 @@ class PartitionWorker:
         self.busy_time += now - self._current_start
         self.current_query = None
         self.current_finish_time = None
+        self._unassign(query)
         return query
 
     def drain_queue(self) -> List[Query]:
         """Remove and return every queued (not started) query, in order.
 
-        Used by live reconfiguration to pull un-started work back off a
-        retiring partition; keeps the queued-work cache consistent.
+        Used by live reconfiguration and crashes to pull un-started work
+        back off a partition; clears the queries' dispatch state and keeps
+        the queued-work cache consistent.
         """
         drained = list(self.queue)
         self.queue.clear()
         self._qw_estimates.clear()
         self._qw_dirty = True
+        for query in drained:
+            self._unassign(query)
         return drained
+
+    def _unassign(self, query: Query) -> None:
+        """Forget ``query``'s dispatch, start and instance: it left this
+        worker without completing."""
+        columns = self._columns
+        if columns is not None:
+            index = query.index
+            columns.dispatch[index] = NAN
+            columns.start[index] = NAN
+            columns.instance[index] = -1
+        if self._write_objects:
+            query.dispatch_time = None
+            query.start_time = None
+            query.instance_id = None
 
     def utilization(self, horizon: float) -> float:
         """Fraction of ``[0, horizon]`` this partition spent executing queries."""

@@ -35,10 +35,12 @@ class Query:
         start_time: when execution began on the partition.
         finish_time: when execution completed.
         instance_id: partition instance that executed the query.
-        index: row index in the current run's columnar store (fast path
-            only; assigned at submission).
+        index: the query's submission order in the current run (assigned
+            at submission): its row in the fast path's columnar store and
+            its slot in the arrival-announce flags.
         retries: times the query was displaced by a worker crash and
-            requeued (0 without fault injection).
+            requeued (0 without fault injection); kept on this object on
+            both simulator paths.
         fail_time: when the query exhausted its retry budget and failed
             (``None`` for queries that completed or never failed).
     """

@@ -96,7 +96,9 @@ def query_signature(result):
 
 
 def run_both_paths(scheduler_factory, trace, sizes=(1, 3, 7, 7), **kwargs):
-    results = []
+    """Replay ``trace`` on both paths: ``([fast, naive] results, [fast,
+    naive] events processed)``."""
+    results, events = [], []
     for fast in (True, False):
         simulator = InferenceServerSimulator(
             instances=make_instances(sizes),
@@ -106,7 +108,8 @@ def run_both_paths(scheduler_factory, trace, sizes=(1, 3, 7, 7), **kwargs):
             **kwargs,
         )
         results.append(simulator.run(trace))
-    return results
+        events.append(simulator.events_processed)
+    return results, events
 
 
 def make_elsa(**kwargs):
@@ -134,25 +137,30 @@ SCHEDULER_FACTORIES = {
 )
 def test_fast_and_naive_replays_are_bit_identical(spec, policy, sla):
     trace = make_trace(sorted(spec, key=lambda s: s[0]), sla=sla)
-    fast, naive = run_both_paths(SCHEDULER_FACTORIES[policy], trace)
+    (fast, naive), (fast_events, naive_events) = run_both_paths(
+        SCHEDULER_FACTORIES[policy], trace
+    )
     assert query_signature(fast) == query_signature(naive)
     assert fast.statistics == naive.statistics
     assert fast.per_instance_queries == naive.per_instance_queries
+    assert fast_events == naive_events
 
 
 @pytest.mark.parametrize("policy", sorted(SCHEDULER_FACTORIES))
 def test_fast_and_naive_agree_with_frontend_limit(policy):
     trace = make_trace([(0.05 * i, 1 + i % 8) for i in range(60)], sla=1.5)
-    fast, naive = run_both_paths(
+    (fast, naive), (fast_events, naive_events) = run_both_paths(
         SCHEDULER_FACTORIES[policy], trace, frontend_capacity_qps=30.0
     )
     assert query_signature(fast) == query_signature(naive)
     assert fast.statistics == naive.statistics
+    # frontend bounces count as events on both paths alike
+    assert fast_events == naive_events
 
 
 def test_fast_and_naive_agree_across_live_reconfiguration():
     """Streaming runs with a mid-run repartition stay bit-identical too."""
-    results = []
+    results, events = [], []
     for fast in (True, False):
         simulator = InferenceServerSimulator(
             instances=make_instances((1, 7)),
@@ -165,10 +173,12 @@ def test_fast_and_naive_agree_across_live_reconfiguration():
         simulator.run_until(1.0)
         simulator.reconfigure(make_instances((3, 3)), reconfig_cost=0.5)
         results.append(simulator.finish())
+        events.append(simulator.events_processed)
     fast, naive = results
     assert query_signature(fast) == query_signature(naive)
     assert fast.statistics == naive.statistics
     assert fast.reconfigurations == naive.reconfigurations
+    assert events[0] == events[1]
 
 
 # --------------------------------------------------------------------------- #
@@ -230,7 +240,7 @@ def test_multi_model_replays_are_bit_identical(spec):
     per-query latencies, utilization and violation statistics."""
     trace = _multi_model_trace(sorted(spec, key=lambda s: s[0]))
     primary = MULTI_PROFILES["small-model"]
-    results = []
+    results, events = [], []
     for fast in (True, False):
         simulator = InferenceServerSimulator(
             instances=make_instances((1, 3, 7)),
@@ -239,7 +249,9 @@ def test_multi_model_replays_are_bit_identical(spec):
             fast_path=fast,
         )
         results.append(simulator.run(trace))
+        events.append(simulator.events_processed)
     fast_result, naive_result = results
+    assert events[0] == events[1]
     assert query_signature(fast_result) == query_signature(naive_result)
     # spell the headline statistics out (the dataclass == pins them anyway)
     fast_latencies = [q.latency for q in fast_result.queries]
@@ -270,7 +282,7 @@ def test_live_reconfigure_is_bit_identical(spec, checkpoint, new_sizes, cost):
     """Mid-run repartitions (requeue + buffered arrivals + downtime) replay
     identically on the columnar and naive paths."""
     trace = make_trace(sorted(spec, key=lambda s: s[0]), sla=1.0)
-    results = []
+    results, events = [], []
     for fast in (True, False):
         simulator = InferenceServerSimulator(
             instances=make_instances((1, 7)),
@@ -283,7 +295,9 @@ def test_live_reconfigure_is_bit_identical(spec, checkpoint, new_sizes, cost):
         simulator.run_until(checkpoint)
         simulator.reconfigure(make_instances(tuple(new_sizes)), reconfig_cost=cost)
         results.append(simulator.finish())
+        events.append(simulator.events_processed)
     fast_result, naive_result = results
+    assert events[0] == events[1]
     assert query_signature(fast_result) == query_signature(naive_result)
     assert fast_result.statistics == naive_result.statistics
     assert fast_result.reconfigurations == naive_result.reconfigurations

@@ -168,6 +168,30 @@ class TestFastPathBookkeeping:
         assert make_simulator().fast_path is True
         assert make_simulator(fast_path=False).fast_path is False
 
+    def test_finished_fast_simulator_is_freed_without_cycle_collection(self):
+        """The fast path holds no reference cycle through the simulator, so a
+        replay sweep frees each finished run (its workers, columns and
+        queries) the moment the caller drops it, not at the next cyclic GC
+        pass."""
+        simulator = make_simulator(
+            sizes=(1, 1, 7),
+            scheduler=ElsaScheduler(constant_profile({1: 2.0, 7: 1.0})),
+            frontend_capacity_qps=4.0,
+        )
+        simulator.begin()
+        simulator.submit_trace(make_trace([(0.25 * t, 1) for t in range(20)]))
+        simulator.run_until(1.0)
+        simulator.crash_worker(0, RetryPolicy())
+        simulator.reconfigure(make_instances((1, 7)), reconfig_cost=0.5)
+        simulator.finish()
+        ref = weakref.ref(simulator)
+        gc.disable()
+        try:
+            del simulator
+            assert ref() is None
+        finally:
+            gc.enable()
+
     def test_reconfigured_utilization_uses_active_spans(self):
         """Fully busy worker retired halfway through the run reports ~1.0."""
         simulator = make_simulator(sizes=(7,), latencies={7: 1.0})

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.elsa import ElsaScheduler
 from repro.core.schedulers import FifsScheduler
+from repro.faults import RetryPolicy
 from repro.sim.cluster import InferenceServerSimulator
 from repro.sim.hooks import (
     EventLog,
@@ -59,6 +60,40 @@ class TestEventEmission:
         simulator.run(trace)
         assert len(log.of_type(QueryArrived)) == 3
         assert len(log.of_type(QueryCompleted)) == 3
+
+    @pytest.mark.parametrize("fast_path", [True, False])
+    def test_mid_run_observer_never_announces_an_already_fired_arrival(
+        self, fast_path
+    ):
+        """An observer attached mid-run hears only arrivals that fire for the
+        first time after it attached.  At the attach instant queries sit in
+        three re-entry states: q1/q2 bounce at the 1 qps frontend, q3 is held
+        through a live reconfiguration, and q0 waits to re-enter after its
+        worker crashed."""
+        simulator = make_simulator(frontend_capacity_qps=1.0, fast_path=fast_path)
+        simulator.begin()
+        simulator.submit_trace(
+            make_trace([(0.0, 1), (0.0, 1), (0.0, 1), (0.1, 1), (4.0, 1)])
+        )
+        simulator.run_until(0.0)
+        busy = [w for w in simulator.workers if w.current_query is not None]
+        assert [w.current_query.query_id for w in busy] == [0]
+        simulator.crash_worker(busy[0].instance_id, RetryPolicy(backoff=0.6))
+        simulator.reconfigure(make_instances((1, 7)), reconfig_cost=0.5)
+        simulator.run_until(0.3)
+        attached_at = simulator.now
+        log = EventLog()
+        simulator.add_observer(log)
+        result = simulator.finish()
+
+        arrived = log.of_type(QueryArrived)
+        announced = [event.query.query_id for event in arrived]
+        assert len(announced) == len(set(announced))  # at most once each
+        assert all(event.time == event.query.arrival_time for event in arrived)
+        assert announced == [
+            q.query_id for q in result.queries if q.arrival_time > attached_at
+        ]
+        assert result.statistics.completed_queries == 5
 
     def test_sla_violations_are_events(self):
         log = EventLog()
